@@ -10,16 +10,13 @@ mean drift. The ``actlab`` command line is the human interface.
 from actlab.activations import (
     ActivationKind,
     ZCSwishParams,
+    apply_activation,
     find_centering_anchor,
-    gelu,
-    relu,
-    swish,
-    zc_swish,
 )
 from actlab.config import ExperimentConfig
 from actlab.data import Dataset, load_cifar100, subset, write_synthetic_cifar100
 from actlab.plainnet import PlainNet, PlainNetConfig, audit, build, count_params
-from actlab.probes import drift_experiment, grad_flow, layer_stats
+from actlab.probes import drift_experiment, layer_stats
 from actlab.tensor import ShapeError, Tape, Tensor, gradcheck
 from actlab.trainer import AdamW, RunRecord, evaluate, multi_seed, train
 
@@ -37,23 +34,19 @@ __all__ = [
     "Tape",
     "Tensor",
     "ZCSwishParams",
+    "apply_activation",
     "audit",
     "build",
     "count_params",
     "drift_experiment",
     "evaluate",
     "find_centering_anchor",
-    "gelu",
-    "grad_flow",
     "gradcheck",
     "layer_stats",
     "load_cifar100",
     "multi_seed",
-    "relu",
     "subset",
-    "swish",
     "train",
     "write_synthetic_cifar100",
-    "zc_swish",
     "__version__",
 ]

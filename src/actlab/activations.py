@@ -1,4 +1,4 @@
-"""The four activation functions under test.
+"""The four activation functions under test, each formula written once.
 
 relu, gelu and swish are stateless baselines. zc_swish ("zero-centered
 swish") carries three learnable parameters per channel:
@@ -17,6 +17,18 @@ shifted swish at the origin, so f(0) == 0 holds exactly (bit for bit, not
 just approximately: both occurrences of sigmoid(-beta*c) are computed
 from identical float products). Inactive units therefore contribute no
 baseline offset, which is the property the whole lab is built to study.
+
+Every forward formula lives in one table, ``FORMULAS``, keyed by
+:class:`ActivationKind`. An entry maps plain arrays to the output and the
+intermediate terms that the backward pass reuses. Two paths call it:
+
+* the Tensor path, :func:`apply_activation`, records the op on the
+  active tape; derivatives are computed only in its backward pass;
+* the array path, :func:`activation_eval` and :func:`zc_swish_eval`,
+  serves the drift experiment, its init calibration, the curve dumps
+  and the centering oracle.
+
+So both paths give the same bits for the same input and parameters.
 
 gelu uses the tanh approximation
 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))). It stays within
@@ -39,15 +51,11 @@ __all__ = [
     "C_INIT",
     "BETA_RAW_INIT",
     "G_INIT",
+    "FORMULAS",
     "sigmoid",
     "softplus",
-    "relu",
-    "gelu",
-    "swish",
-    "zc_swish",
-    "relu_eval",
-    "gelu_eval",
-    "swish_eval",
+    "apply_activation",
+    "activation_eval",
     "zc_swish_eval",
     "CenteringResult",
     "find_centering_anchor",
@@ -125,52 +133,74 @@ class ZCSwishParams:
     def tensors(self) -> list[Tensor]:
         return [self.c, self.beta_raw, self.g]
 
-    def param_count(self) -> int:
-        return 3 * self.channels
+
+# ---------------------------------------------------------------------------
+# the formula table: plain arrays in, (output, terms the backward reuses) out
+# ---------------------------------------------------------------------------
 
 
-def _unary(x: Tensor, out_data: np.ndarray, dfn) -> Tensor:
-    out = Tensor(out_data)
-
-    def backward_fn(g: np.ndarray):
-        if x.requires_grad:
-            x.grad += g * dfn()
-
-    return record_op(out, (x,), backward_fn)
+def _gelu_constants(dt):
+    return dt.type(_GELU_K), dt.type(_GELU_A), dt.type(0.5)
 
 
-def relu(x: Tensor) -> Tensor:
-    d = x.data
-    return _unary(x, np.maximum(d.dtype.type(0.0), d), lambda: (d > 0).astype(d.dtype))
+def _relu(x):
+    return np.maximum(x.dtype.type(0.0), x), ()
 
 
-def gelu(x: Tensor) -> Tensor:
-    d = x.data
-    k = d.dtype.type(_GELU_K)
-    a = d.dtype.type(_GELU_A)
-    half = d.dtype.type(0.5)
-    t = np.tanh(k * (d + a * d * d * d))
-
-    def deriv():
-        return half * (1.0 + t) + half * d * (1.0 - t * t) * k * (1.0 + 3.0 * a * d * d)
-
-    return _unary(x, half * d * (1.0 + t), deriv)
+def _gelu(x):
+    k, a, half = _gelu_constants(x.dtype)
+    t = np.tanh(k * (x + a * x * x * x))
+    return half * x * (1.0 + t), (t,)
 
 
-def swish(x: Tensor) -> Tensor:
-    d = x.data
-    s = sigmoid(d)
-    return _unary(x, d * s, lambda: s * (1.0 + d * (1.0 - s)))
+def _swish(x):
+    s = sigmoid(x)
+    return x * s, (s,)
 
 
-def _param_view(p: np.ndarray, ndim: int) -> np.ndarray:
-    # broadcast a per-channel vector over [N, C] or [N, C, H, W]
-    if ndim == 2:
-        return p.reshape(1, -1)
-    return p.reshape(1, -1, 1, 1)
+def _zc_swish(x, c, beta, g):
+    """c, beta and g are scalars or per-channel views broadcasting over x.
+    At x = 0, beta * u is -(beta * c) bit for bit, so f(0) == 0 exactly."""
+    u = x - c
+    s = sigmoid(beta * u)
+    q = sigmoid(-(beta * c))
+    core = u * s + c * q
+    return g * core, (u, s, q, core)
 
 
-def zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
+FORMULAS = {
+    ActivationKind.RELU: _relu,
+    ActivationKind.GELU: _gelu,
+    ActivationKind.SWISH: _swish,
+    ActivationKind.ZCSWISH: _zc_swish,
+}
+
+# df/dx of the stateless kinds, from x and the terms their forward saved.
+# zc_swish's backward also feeds its parameters; it is in _record_zc_swish.
+
+
+def _relu_dx(x):
+    return (x > 0).astype(x.dtype)
+
+
+def _gelu_dx(x, t):
+    k, a, half = _gelu_constants(x.dtype)
+    return half * (1.0 + t) + half * x * (1.0 - t * t) * k * (1.0 + 3.0 * a * x * x)
+
+
+def _swish_dx(x, s):
+    return s * (1.0 + x * (1.0 - s))
+
+
+_DX = {ActivationKind.RELU: _relu_dx, ActivationKind.GELU: _gelu_dx, ActivationKind.SWISH: _swish_dx}
+
+
+# ---------------------------------------------------------------------------
+# Tensor path
+# ---------------------------------------------------------------------------
+
+
+def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     """Per-channel zero-centered swish, recorded with all four gradients.
 
     x is [N, C] or [N, C, H, W] with C equal to ``params.channels``.
@@ -186,23 +216,16 @@ def zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
 
     d = x.data
     dt = d.dtype
+    view = (1, -1) if d.ndim == 2 else (1, -1, 1, 1)
     c = params.c.data.astype(dt, copy=False)
     beta = softplus(params.beta_raw.data.astype(dt, copy=False))
     gain = params.g.data.astype(dt, copy=False)
-
-    u = d - _param_view(c, d.ndim)
-    s = sigmoid(_param_view(beta, d.ndim) * u)
-    q = sigmoid(-(beta * c))  # per channel
-    bias = c * q
-    core = u * s + _param_view(bias, d.ndim)
-    out = Tensor(_param_view(gain, d.ndim) * core)
-
+    beta_b, gain_b = beta.reshape(view), gain.reshape(view)
+    out, (u, s, q, core) = _zc_swish(d, c.reshape(view), beta_b, gain_b)
+    q = q.reshape(-1)  # per channel
     reduce_axes = (0,) if d.ndim == 2 else (0, 2, 3)
 
     def backward_fn(gout: np.ndarray):
-        beta_b = _param_view(beta, d.ndim)
-        gain_b = _param_view(gain, d.ndim)
-        sp = s * (1.0 - s)
         if x.requires_grad:
             x.grad += gout * gain_b * s * (1.0 + beta_b * u * (1.0 - s))
         need_c = params.c.requires_grad
@@ -210,6 +233,7 @@ def zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         need_g = params.g.requires_grad
         if not (need_c or need_b or need_g):
             return
+        sp = s * (1.0 - s)
         gsum = gout.sum(axis=reduce_axes)
         qp = q * (1.0 - q)
         if need_c:
@@ -224,56 +248,56 @@ def zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         if need_g:
             params.g.grad += (gout * core).sum(axis=reduce_axes)
 
-    return record_op(out, (x, params.c, params.beta_raw, params.g), backward_fn)
+    return record_op(Tensor(out), (x, params.c, params.beta_raw, params.g), backward_fn)
 
 
 def apply_activation(x: Tensor, kind: ActivationKind, params: ZCSwishParams | None = None) -> Tensor:
-    if kind is ActivationKind.RELU:
-        return relu(x)
-    if kind is ActivationKind.GELU:
-        return gelu(x)
-    if kind is ActivationKind.SWISH:
-        return swish(x)
-    if params is None:
-        raise ValueError("zc_swish needs its parameter triple")
-    return zc_swish(x, params)
+    """Run ``kind``'s formula on ``x`` and record it on the active tape.
+    zc_swish needs its per-channel triple ``params``."""
+    if kind is ActivationKind.ZCSWISH:
+        if params is None:
+            raise ValueError("zc_swish needs its parameter triple")
+        return _record_zc_swish(x, params)
+    d = x.data
+    out, saved = FORMULAS[kind](d)
+    dx = _DX[kind]
+
+    def backward_fn(g: np.ndarray):
+        if x.requires_grad:
+            x.grad += g * dx(d, *saved)
+
+    return record_op(Tensor(out), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
-# plain-array evaluators (diagnostics, curve dumps, the centering oracle)
+# array path (the drift experiment, curve dumps, the centering oracle)
 # ---------------------------------------------------------------------------
 
 
-def relu_eval(x):
+def _float_array(x) -> np.ndarray:
     x = np.asarray(x)
-    return np.maximum(x.dtype.type(0.0), x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
 
 
-def gelu_eval(x):
-    x = np.asarray(x)
-    return 0.5 * x * (1.0 + np.tanh(_GELU_K * (x + _GELU_A * x**3)))
+def activation_eval(kind: ActivationKind, x) -> np.ndarray:
+    """``kind`` on a plain array, zc_swish at its initial parameter triple."""
+    if kind is ActivationKind.ZCSWISH:
+        return zc_swish_eval(x)
+    return FORMULAS[kind](_float_array(x))[0]
 
 
-def swish_eval(x):
-    x = np.asarray(x)
-    return x * sigmoid(x)
-
-
-def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_INIT, beta_raw: float | None = None):
+def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_INIT):
     """Scalar-parameter zero-centered swish on a plain array.
 
-    Pass either ``beta`` directly or ``beta_raw`` (softplus applied);
-    defaults reproduce the initial learnable triple.
+    Parameters are cast to the array's dtype; ``beta=None`` means
+    softplus(BETA_RAW_INIT), so the defaults reproduce the initial
+    learnable triple.
     """
-    x = np.asarray(x)
-    dt = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    x = x.astype(dt, copy=False)
+    x = _float_array(x)
+    scalar = x.dtype.type
     if beta is None:
-        beta = float(softplus(np.asarray(beta_raw if beta_raw is not None else BETA_RAW_INIT, dtype=dt)))
-    scalar = np.dtype(dt).type
-    c, beta, g = scalar(c), scalar(beta), scalar(g)
-    u = x - c
-    return g * (u * sigmoid(beta * u) + c * sigmoid(-(beta * c)))
+        beta = softplus(scalar(BETA_RAW_INIT))
+    return _zc_swish(x, scalar(c), scalar(beta), scalar(g))[0]
 
 
 @dataclass
@@ -360,10 +384,4 @@ def activation_curves(xs) -> dict[str, np.ndarray]:
     """Columns for the baseline comparison curve: all four activations on
     one grid, zc_swish at its initial parameter triple."""
     xs = np.asarray(xs, dtype=np.float64)
-    return {
-        "x": xs,
-        "relu": relu_eval(xs),
-        "gelu": gelu_eval(xs),
-        "swish": swish_eval(xs),
-        "zcswish": zc_swish_eval(xs),
-    }
+    return {"x": xs, **{kind.value: activation_eval(kind, xs) for kind in ActivationKind}}

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +27,8 @@ from actlab.activations import (
     ActivationKind,
     ZCSwishParams,
     activation_curves,
+    apply_activation,
     find_centering_anchor,
-    gelu,
-    relu,
-    swish,
-    zc_swish,
     zc_swish_eval,
 )
 from actlab.config import PRESETS, ExperimentConfig
@@ -123,12 +119,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.to_json())
 
-    if args.jobs > 1 and len(config.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_one_seed, config, train_ds, test_ds, s, out_dir) for s in config.seeds]
-            records = [f.result() for f in futures]
-    else:
-        records = [_run_one_seed(config, train_ds, test_ds, s, out_dir) for s in config.seeds]
+    records = [_run_one_seed(config, train_ds, test_ds, s, out_dir) for s in config.seeds]
 
     agg = aggregate_runs(records)
     summary = {
@@ -223,17 +214,18 @@ def _case_elementwise(rng, dtype):
 def _case_relu(rng, dtype):
     vals = (rng.uniform(0.3, 2.0, size=20) * rng.choice([-1.0, 1.0], size=20))
     x = Tensor(vals, dtype=dtype)
-    return lambda a: tsum(mul(relu(a), relu(a))), [x]
+    relu = ActivationKind.RELU
+    return lambda a: tsum(mul(apply_activation(a, relu), apply_activation(a, relu))), [x]
 
 
 def _case_gelu(rng, dtype):
     x = Tensor(rng.standard_normal(24) * 2, dtype=dtype)
-    return lambda a: tsum(gelu(a)), [x]
+    return lambda a: tsum(apply_activation(a, ActivationKind.GELU)), [x]
 
 
 def _case_swish(rng, dtype):
     x = Tensor(rng.standard_normal(24) * 2, dtype=dtype)
-    return lambda a: tsum(swish(a)), [x]
+    return lambda a: tsum(apply_activation(a, ActivationKind.SWISH)), [x]
 
 
 def _case_zc_swish(rng, dtype):
@@ -241,7 +233,8 @@ def _case_zc_swish(rng, dtype):
     c = Tensor(rng.uniform(-1, 1, 2), dtype=dtype)
     braw = Tensor(rng.uniform(-2, 2, 2), dtype=dtype)
     g = Tensor(rng.uniform(0.5, 2, 2), dtype=dtype)
-    return lambda xx, cc, bb, gg: tsum(zc_swish(xx, ZCSwishParams(cc, bb, gg))), [x, c, braw, g]
+    zc = ActivationKind.ZCSWISH
+    return lambda xx, cc, bb, gg: tsum(apply_activation(xx, zc, ZCSwishParams(cc, bb, gg))), [x, c, braw, g]
 
 
 GRADCHECK_CASES = [
@@ -390,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data-dir", dest="data_dir", help=f"CIFAR-100 binary directory (default: ${DATA_DIR_ENV})")
     t.add_argument("--precision", choices=("float32", "float64"))
     t.add_argument("--out", help="output directory (default derives from the config)")
-    t.add_argument("--jobs", type=int, default=1, help="concurrent seed runs")
     t.set_defaults(fn=cmd_train)
 
     c = sub.add_parser("curves", help="activation shape curves as CSV")

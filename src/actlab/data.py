@@ -7,15 +7,17 @@ The full distribution ships ``train.bin`` (50,000 records) and
 ``test.bin`` (10,000 records).
 
 Pixels map byte -> float via x/255. Standardization uses per-channel
-mean/std computed once over the train split and cached in a small JSON
+mean/std computed over the train split and cached in a small JSON
 sidecar next to the data files, so the test split is normalized with
-train statistics. No augmentation of any kind is applied here: the
-training recipes this lab studies are deliberately bare, and augmenting
-would confound them.
+train statistics. The sidecar records train.bin's size and sha256 and
+is recomputed whenever they no longer match. No augmentation of any
+kind is applied here: the training recipes this lab studies are
+deliberately bare, and augmenting would confound them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -96,22 +98,44 @@ def write_cifar_records(path, coarse: np.ndarray, fine: np.ndarray, pixels: np.n
     records.tofile(path)
 
 
+def _train_identity(path: Path) -> dict:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return {"train_bytes": path.stat().st_size, "train_sha256": digest.hexdigest()}
+
+
 def ensure_channel_stats(data_dir) -> dict:
     """Per-channel mean/std of the train split in x/255 units.
 
-    Computed once from train.bin and cached in a JSON sidecar; later
-    calls read the sidecar.
+    Cached in a JSON sidecar together with train.bin's size and sha256.
+    The sidecar is reused only while both still match train.bin;
+    otherwise the statistics are recomputed and the sidecar is replaced
+    atomically.
     """
     data_dir = Path(data_dir)
+    train_path = data_dir / SPLIT_FILES["train"]
     sidecar = data_dir / STATS_FILE
+    identity = _train_identity(train_path)
     if sidecar.exists():
-        return json.loads(sidecar.read_text())
-    _, _, pixels = read_cifar_records(data_dir / SPLIT_FILES["train"])
+        stats = json.loads(sidecar.read_text())
+        if all(stats.get(k) == v for k, v in identity.items()):
+            return stats
+    _, _, pixels = read_cifar_records(train_path)
     x = pixels.astype(np.float32) / np.float32(255.0)
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
     std = x.std(axis=(0, 2, 3), dtype=np.float64)
-    stats = {"mean": [float(m) for m in mean], "std": [float(s) for s in std], "source_split": "train", "scale": "x/255"}
-    sidecar.write_text(json.dumps(stats, indent=2, sort_keys=True))
+    stats = {
+        "mean": [float(m) for m in mean],
+        "std": [float(s) for s in std],
+        "source_split": "train",
+        "scale": "x/255",
+        **identity,
+    }
+    tmp = sidecar.with_name(sidecar.name + ".tmp")
+    tmp.write_text(json.dumps(stats, indent=2, sort_keys=True))
+    os.replace(tmp, sidecar)
     return stats
 
 
@@ -239,6 +263,3 @@ def write_synthetic_cifar100(
 
     write_cifar_records(data_dir / SPLIT_FILES["train"], *make_split(train_per_class, 1))
     write_cifar_records(data_dir / SPLIT_FILES["test"], *make_split(test_per_class, 2))
-    stale = data_dir / STATS_FILE
-    if stale.exists():
-        stale.unlink()

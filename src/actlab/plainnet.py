@@ -20,13 +20,11 @@ activation sites only; the head activation stays a plain ReLU.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from actlab.activations import ActivationKind, ZCSwishParams, apply_activation, relu
+from actlab.activations import ActivationKind, ZCSwishParams, apply_activation
 from actlab.tensor import DEFAULT_DTYPE, ShapeError, Tensor, dropout, linear, maxpool2, reshape
 from actlab import tensor as T
 
@@ -40,8 +38,6 @@ __all__ = [
     "build",
     "count_params",
     "audit",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 INPUT_CHANNELS = 3
@@ -105,29 +101,6 @@ class PlainNetConfig:
     @property
     def head_width(self) -> int:
         return HEAD_WIDTH // self.width_divisor
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "width_divisor": self.width_divisor,
-            "activation": self.activation.value,
-            "num_classes": self.num_classes,
-            "dropout_p": self.dropout_p,
-            "channel_progression": list(self.channel_progression),
-            "pool_after": sorted(self.pool_after),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlainNetConfig":
-        return cls(
-            depth=d["depth"],
-            width_divisor=d["width_divisor"],
-            activation=ActivationKind.parse(d["activation"]),
-            num_classes=d["num_classes"],
-            dropout_p=d["dropout_p"],
-            channel_progression=tuple(d["channel_progression"]),
-            pool_after=frozenset(d["pool_after"]),
-        )
 
 
 @dataclass
@@ -359,53 +332,3 @@ def audit(model: PlainNet) -> dict:
         "sequential_chain": True,
         "activation_sites": len(model.activation_sites()),
     }
-
-
-CHECKPOINT_VERSION = 1
-_MAGIC = b"PNET"
-
-
-def save_checkpoint(model: PlainNet, path):
-    """Binary checkpoint: magic, version, JSON header, then every
-    parameter array raw little-endian in named_parameters order."""
-    header = {
-        "config": model.config.to_dict(),
-        "dtype": model.dtype.name,
-        "params": [{"name": n, "shape": list(t.shape)} for n, t in model.named_parameters()],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for _, t in model.named_parameters():
-            f.write(np.ascontiguousarray(t.data, dtype=f"<{model.dtype.str[1:]}").tobytes())
-
-
-def load_checkpoint(path) -> PlainNet:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a PlainNet checkpoint: bad magic {magic!r}")
-        version, blob_len = struct.unpack("<II", f.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-        header = json.loads(f.read(blob_len).decode("utf-8"))
-        config = PlainNetConfig.from_dict(header["config"])
-        dtype = np.dtype(header["dtype"])
-        model = build(config, rng=np.random.default_rng(0), dtype=dtype)
-        manifest = header["params"]
-        named = model.named_parameters()
-        if [m["name"] for m in manifest] != [n for n, _ in named]:
-            raise ValueError("checkpoint parameter manifest does not match rebuilt model")
-        for meta, (_, t) in zip(manifest, named):
-            shape = tuple(meta["shape"])
-            n_bytes = int(np.prod(shape)) * dtype.itemsize
-            raw = f.read(n_bytes)
-            if len(raw) != n_bytes:
-                raise ValueError(f"checkpoint truncated while reading {meta['name']}")
-            t.data = np.frombuffer(raw, dtype=f"<{dtype.str[1:]}").reshape(shape).astype(dtype)
-        trailing = f.read(1)
-        if trailing:
-            raise ValueError("checkpoint has trailing bytes after the last parameter")
-    return model

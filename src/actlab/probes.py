@@ -1,12 +1,13 @@
 """Diagnostics for the activation mean-shift failure mode.
 
-Three measurements:
+Two measurements:
 
-* :func:`layer_stats`: per-site post-activation mean/std, the fraction of
-  near-zero ("dead") activations, and each site's weight-gradient norm on
-  a fixed probe batch.
-* :func:`grad_flow`: weight-gradient L2 norms layer by layer, plus the
-  first-conv to last-conv ratio that quantifies vanishing flow.
+* :func:`layer_stats`: one forward and backward pass on a fixed probe
+  batch that gives, per activation site and for the logits, the
+  post-activation mean/std, the fraction of near-zero ("dead")
+  activations, and the weight-gradient norm of the layer feeding it.
+  :func:`grad_norm` is the one float64 reduction behind those norms and
+  the trainer's per-step gradient norm.
 * :func:`drift_experiment`: pushes a sample through a freshly initialized
   stack of width-preserving linear layers and one activation per depth
   position, recording how the activation mean moves with depth. With
@@ -29,14 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sstats
 
-from actlab.activations import (
-    ActivationKind,
-    find_centering_anchor,
-    gelu_eval,
-    relu_eval,
-    swish_eval,
-    zc_swish_eval,
-)
+from actlab.activations import ActivationKind, activation_eval, find_centering_anchor, zc_swish_eval
 from actlab.plainnet import PlainNet
 from actlab.tensor import Tape, Tensor, softmax_cross_entropy
 
@@ -44,8 +38,7 @@ __all__ = [
     "DEAD_THRESHOLD",
     "LayerStats",
     "layer_stats",
-    "GradFlowReport",
-    "grad_flow",
+    "grad_norm",
     "DriftSite",
     "DriftReport",
     "drift_experiment",
@@ -78,76 +71,47 @@ def _weight_layer_for_site(model: PlainNet) -> dict[str, str]:
     return mapping
 
 
-def layer_stats(
-    model: PlainNet,
-    images: np.ndarray,
-    labels: np.ndarray | None = None,
-    dead_threshold: float = DEAD_THRESHOLD,
-) -> list[LayerStats]:
+def grad_norm(tensors) -> float:
+    """L2 norm of the gradients of ``tensors``: squares summed in float64,
+    one Python float per tensor in the given order. Tensors without a
+    gradient are skipped."""
+    total = 0.0
+    for t in tensors:
+        if t.grad is not None:
+            total += float(np.sum(t.grad.astype(np.float64) ** 2))
+    return float(np.sqrt(total))
+
+
+def layer_stats(model: PlainNet, images: np.ndarray, labels: np.ndarray) -> list[LayerStats]:
     """One record per activation site plus the logits head.
 
-    With ``labels`` given, a backward pass on the probe batch fills
-    weight gradients so each record carries its feeding layer's weight
-    gradient norm; without labels that field is NaN.
+    A backward pass on the probe batch fills weight gradients, so each
+    record carries the gradient norm of the weight layer feeding it.
     """
     x = Tensor(images.astype(model.dtype, copy=False))
     probe: list = []
-    if labels is not None:
-        model.zero_grad()
-        with Tape() as tape:
-            logits = model.forward(x, training=False, probe=probe)
-            loss = softmax_cross_entropy(logits, labels)
-            tape.backward(loss)
-    else:
-        model.forward(x, training=False, probe=probe)
+    model.zero_grad()
+    with Tape() as tape:
+        logits = model.forward(x, training=False, probe=probe)
+        loss = softmax_cross_entropy(logits, labels)
+        tape.backward(loss)
 
-    norms: dict[str, float] = {}
-    if labels is not None:
-        for layer in model.weight_layers():
-            g = layer.weight.grad
-            norms[layer.name] = float(np.sqrt(np.sum(g.astype(np.float64) ** 2))) if g is not None else float("nan")
+    norms = {layer.name: grad_norm([layer.weight]) for layer in model.weight_layers()}
     site_to_weight = _weight_layer_for_site(model)
 
     out = []
     for i, (site, act) in enumerate(probe):
-        weight_name = site_to_weight.get(site)
         out.append(
             LayerStats(
                 index=i,
                 site=site,
                 mean=float(np.mean(act, dtype=np.float64)),
                 std=float(np.std(act, dtype=np.float64)),
-                dead_frac=float(np.mean(np.abs(act) < dead_threshold)),
-                grad_norm=norms.get(weight_name, float("nan")),
+                dead_frac=float(np.mean(np.abs(act) < DEAD_THRESHOLD)),
+                grad_norm=norms[site_to_weight[site]],
             )
         )
     return out
-
-
-@dataclass
-class GradFlowReport:
-    norms: list[tuple[str, float]]
-    first_to_last_conv_ratio: float
-
-
-def grad_flow(model: PlainNet, images: np.ndarray, labels: np.ndarray) -> GradFlowReport:
-    """Weight-gradient L2 norm for every conv/linear layer after one
-    backward pass on the given batch."""
-    x = Tensor(images.astype(model.dtype, copy=False))
-    model.zero_grad()
-    with Tape() as tape:
-        loss = softmax_cross_entropy(model.forward(x, training=False), labels)
-        tape.backward(loss)
-    norms = []
-    conv_norms = []
-    for layer in model.weight_layers():
-        g = layer.weight.grad
-        n = float(np.sqrt(np.sum(g.astype(np.float64) ** 2))) if g is not None else 0.0
-        norms.append((layer.name, n))
-        if layer.kind == "conv":
-            conv_norms.append(n)
-    ratio = conv_norms[0] / conv_norms[-1] if conv_norms and conv_norms[-1] != 0.0 else float("inf")
-    return GradFlowReport(norms=norms, first_to_last_conv_ratio=ratio)
 
 
 @dataclass
@@ -174,20 +138,12 @@ class DriftReport:
         return abs(self.sites[-1].mean)
 
 
-_EVALS = {
-    ActivationKind.RELU: relu_eval,
-    ActivationKind.GELU: gelu_eval,
-    ActivationKind.SWISH: swish_eval,
-    ActivationKind.ZCSWISH: zc_swish_eval,
-}
-
-
 def _output_std_under_standard_normal(kind: ActivationKind) -> float:
     """Std of f(z), z ~ N(0,1), by 101-node Gauss-Hermite quadrature."""
     nodes, weights = np.polynomial.hermite.hermgauss(101)
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
-    f = _EVALS[kind](z)
+    f = activation_eval(kind, z)
     m1 = float(np.sum(w * f))
     m2 = float(np.sum(w * f * f))
     return float(np.sqrt(m2 - m1 * m1))
@@ -239,10 +195,8 @@ def drift_experiment(
             res = find_centering_anchor(pre.ravel(), beta=beta, tol=anchor_tol)
             report.anchors.append(res.c)
             x = zc_swish_eval(pre, c=res.c, beta=beta, g=1.0)
-        elif kind is ActivationKind.ZCSWISH:
-            x = zc_swish_eval(pre)
         else:
-            x = _EVALS[kind](pre)
+            x = activation_eval(kind, pre)
         report.sites.append(
             DriftSite(index=pos, mean=float(np.mean(x, dtype=np.float64)), std=float(np.std(x, dtype=np.float64)))
         )

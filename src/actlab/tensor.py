@@ -21,7 +21,7 @@ and batch-independent in both dtypes.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "dropout",
     "softmax_cross_entropy",
     "gradcheck",
-    "has_nonfinite",
 ]
 
 
@@ -186,11 +185,6 @@ def _check(cond: bool, msg: str):
 def _same_dtype(*tensors: Tensor):
     dtypes = {t.data.dtype for t in tensors}
     _check(len(dtypes) == 1, f"operands must share one dtype, got {sorted(str(d) for d in dtypes)}")
-
-
-def has_nonfinite(arrays: Iterable[np.ndarray]) -> bool:
-    """True if any array contains NaN or Inf. Detection only, never repair."""
-    return any(not np.isfinite(a).all() for a in arrays)
 
 
 # ---------------------------------------------------------------------------

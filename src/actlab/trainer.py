@@ -17,7 +17,7 @@ import numpy as np
 from actlab.config import ExperimentConfig
 from actlab.data import BatchPlan, Dataset, batches, eval_batches
 from actlab.plainnet import PlainNet, build, count_params
-from actlab.probes import layer_stats
+from actlab.probes import grad_norm, layer_stats
 from actlab.tensor import Tape, Tensor, softmax_cross_entropy
 
 __all__ = [
@@ -198,14 +198,6 @@ def evaluate(model: PlainNet, ds: Dataset, batch_size: int = 256) -> tuple[float
     return total_loss / n, correct / n
 
 
-def _global_grad_norm(model: PlainNet) -> float:
-    total = 0.0
-    for p in model.parameters():
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    return float(np.sqrt(total))
-
-
 def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: int | None = None) -> RunRecord:
     """One full run for one seed: epoch 0 is the untouched model, then
     ``config.epochs`` passes of AdamW with per-epoch evaluation and
@@ -266,11 +258,11 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
                 logits = model.forward(x, training=True, rng=dropout_rng)
                 loss = softmax_cross_entropy(logits, labels)
                 tape.backward(loss)
-            grad_norm = _global_grad_norm(model)
+            norm = grad_norm(model.parameters())
             nonfinite_grads = opt.step()
             loss_val = float(loss.data)
             flagged = nonfinite_grads or not np.isfinite(loss_val)
-            record.steps.append(StepRecord(step, loss_val, grad_norm, flagged))
+            record.steps.append(StepRecord(step, loss_val, norm, flagged))
             if flagged and not warned:
                 log.warning("non-finite loss or gradient at step %d (run continues, divergence is data)", step)
                 warned = True

@@ -20,10 +20,9 @@ import actlab.cli as cli
 from actlab.activations import (
     ActivationKind,
     ZCSwishParams,
+    activation_eval,
+    apply_activation,
     find_centering_anchor,
-    swish,
-    swish_eval,
-    zc_swish,
     zc_swish_eval,
 )
 from actlab.data import write_synthetic_cifar100
@@ -68,7 +67,7 @@ def test_criterion_2_origin_preservation_10k_triples():
         beta_raw=Tensor(rng.uniform(-3, 3, n), dtype=np.float64),
         g=Tensor(rng.uniform(-2, 2, n), dtype=np.float64),
     )
-    out = zc_swish(Tensor(np.zeros((3, n)), dtype=np.float64), params)
+    out = apply_activation(Tensor(np.zeros((3, n)), dtype=np.float64), ActivationKind.ZCSWISH, params)
     worst = float(np.max(np.abs(out.data)))
     assert worst < 1e-12
     report(2, f"max |f(0)| over 10^4 random triples = {worst:.3e} (< 1e-12)")
@@ -102,7 +101,7 @@ def test_criterion_3_zcswish_gradients_on_grid_and_model():
         for t in params.tensors():
             t.requires_grad = True
         with Tape() as tape:
-            tape.backward(tsum(zc_swish(xt, params)))
+            tape.backward(tsum(apply_activation(xt, ActivationKind.ZCSWISH, params)))
         # grad_x against the closed smooth-landscape form, elementwise
         numeric_x = (zc_swish_eval(xs + h, c=c, beta=beta, g=g) - zc_swish_eval(xs - h, c=c, beta=beta, g=g)) / (2 * h)
         for a, nmr in zip(xt.grad[:, 0], numeric_x):
@@ -150,8 +149,8 @@ def test_criterion_4_swish_reduction_float32():
             beta_raw=Tensor(np.full(5, 0.5413248546129181), dtype=np.float32),
             g=Tensor(np.ones(5), dtype=np.float32),
         )
-        zc = zc_swish(Tensor(x), params).data
-        sw = swish(Tensor(x)).data
+        zc = apply_activation(Tensor(x), ActivationKind.ZCSWISH, params).data
+        sw = apply_activation(Tensor(x), ActivationKind.SWISH).data
         worst = max(worst, float(np.max(np.abs(zc - sw))))
     assert worst < 1e-6
     report(4, f"max |zcswish - swish| at unit parameters = {worst:.3e} (< 1e-6, float32)")
@@ -165,7 +164,7 @@ def test_criterion_4_swish_reduction_float32():
 def test_criterion_5_swish_mean_positive_and_oracle_centers(capsys):
     rng = np.random.default_rng(5)
     sample = rng.standard_normal(100_000)
-    vals = swish_eval(sample)
+    vals = activation_eval(ActivationKind.SWISH, sample)
     mean = float(vals.mean())
     z = mean / (float(vals.std(ddof=1)) / np.sqrt(sample.size))
     assert mean > 0.0 and z > 3.09  # one-sided p < 0.001

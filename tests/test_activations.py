@@ -10,17 +10,11 @@ from actlab.activations import (
     ActivationKind,
     ZCSwishParams,
     activation_curves,
+    activation_eval,
     apply_activation,
     find_centering_anchor,
-    gelu,
-    gelu_eval,
-    relu,
-    relu_eval,
     sigmoid,
     softplus,
-    swish,
-    swish_eval,
-    zc_swish,
     zc_swish_eval,
 )
 from actlab.tensor import ShapeError, Tape, Tensor, gradcheck, tsum
@@ -35,6 +29,12 @@ ZCSWISH_AT_ONE_DEFAULT_PARAMS = 0.7267690022456754
 GELU_TANH_AT_ONE = 0.8411919906082767
 SWISH_AT_ONE = 0.7310585786300049
 
+RELU, GELU, SWISH, ZCSWISH = ActivationKind.RELU, ActivationKind.GELU, ActivationKind.SWISH, ActivationKind.ZCSWISH
+
+
+def zc_op(x, p):
+    return apply_activation(x, ZCSWISH, p)
+
 
 def params_from(c, beta_raw, g, channels=1, dtype=np.float64, requires_grad=True):
     def vec(v):
@@ -48,38 +48,57 @@ class TestZCSwishForward:
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = params_from(rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-2, 2))
-            out = zc_swish(Tensor(np.zeros((3, 1), dtype=np.float64)), p)
+            out = zc_op(Tensor(np.zeros((3, 1), dtype=np.float64)), p)
             assert np.all(out.data == 0.0)
 
     def test_reduces_to_swish_at_unit_parameters(self):
         p = params_from(0.0, BETA_RAW_FOR_UNIT_SLOPE, 1.0)
-        out = zc_swish(Tensor(np.ones((1, 1), dtype=np.float64)), p)
+        out = zc_op(Tensor(np.ones((1, 1), dtype=np.float64)), p)
         np.testing.assert_allclose(out.data, SWISH_AT_ONE, rtol=1e-9)
 
     def test_initial_parameters_at_one(self):
         p = ZCSwishParams.initial(1, dtype=np.float64)
-        out = zc_swish(Tensor(np.ones((1, 1), dtype=np.float64)), p)
+        out = zc_op(Tensor(np.ones((1, 1), dtype=np.float64)), p)
         assert abs(out.data.item() - ZCSWISH_AT_ONE_DEFAULT_PARAMS) < 1e-12
 
     def test_channel_mismatch_rejected(self):
         p = ZCSwishParams.initial(4)
         with pytest.raises(ShapeError, match="C=3"):
-            zc_swish(Tensor(np.zeros((2, 3))), p)
+            zc_op(Tensor(np.zeros((2, 3))), p)
 
     def test_per_channel_parameters_apply_to_their_channel(self):
         p = params_from(0.0, BETA_RAW_FOR_UNIT_SLOPE, 1.0, channels=2)
         p.g.data[:] = [1.0, 3.0]
         x = np.ones((1, 2, 2, 2), dtype=np.float64)
-        out = zc_swish(Tensor(x), p)
+        out = zc_op(Tensor(x), p)
         np.testing.assert_allclose(out.data[0, 1], 3.0 * out.data[0, 0], rtol=1e-12)
 
     def test_eval_path_agrees_with_op_path(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 1)) * 3
         p = params_from(0.3, -0.5, 1.7)
-        op = zc_swish(Tensor(x, dtype=np.float64), p)
+        op = zc_op(Tensor(x, dtype=np.float64), p)
         ev = zc_swish_eval(x, c=0.3, beta=float(softplus(np.float64(-0.5))), g=1.7)
         np.testing.assert_allclose(op.data[:, 0], ev[:, 0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("kind", list(ActivationKind), ids=lambda k: k.value)
+def test_tensor_and_array_paths_agree_bitwise(kind, dtype):
+    """Training (apply_activation) and the drift, calibration and curve
+    code (the array entry points) evaluate the same formula to the bit."""
+    x = (np.random.default_rng(12).standard_normal((8, 3, 8, 8)) * 3).astype(dtype)
+    if kind is ZCSWISH:
+        c, beta_raw, g = 0.3, -0.5, 1.7
+        op = apply_activation(Tensor(x), kind, params_from(c, beta_raw, g, channels=3, dtype=dtype))
+        ev = zc_swish_eval(x, c=c, beta=softplus(dtype(beta_raw)), g=g)
+        np.testing.assert_array_equal(op.data, ev)
+        op = apply_activation(Tensor(x), kind, ZCSwishParams.initial(3, dtype=dtype))
+    else:
+        op = apply_activation(Tensor(x), kind)
+    ev = activation_eval(kind, x)
+    assert op.data.dtype == ev.dtype == dtype
+    np.testing.assert_array_equal(op.data, ev)
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,10 +109,10 @@ class TestZCSwishForward:
 )
 def test_origin_preservation_property(c, beta_raw, g):
     p64 = params_from(c, beta_raw, g, dtype=np.float64)
-    out64 = zc_swish(Tensor(np.zeros((2, 1), dtype=np.float64)), p64)
+    out64 = zc_op(Tensor(np.zeros((2, 1), dtype=np.float64)), p64)
     assert np.all(np.abs(out64.data) < 1e-12)
     p32 = params_from(c, beta_raw, g, dtype=np.float32)
-    out32 = zc_swish(Tensor(np.zeros((2, 1), dtype=np.float32)), p32)
+    out32 = zc_op(Tensor(np.zeros((2, 1), dtype=np.float32)), p32)
     assert np.all(np.abs(out32.data) < 1e-6)
 
 
@@ -101,8 +120,8 @@ def test_swish_reduction_elementwise_float32():
     rng = np.random.default_rng(42)
     x = (rng.standard_normal((64, 3, 5, 5)) * 4).astype(np.float32)
     p = params_from(0.0, BETA_RAW_FOR_UNIT_SLOPE, 1.0, channels=3, dtype=np.float32)
-    zc = zc_swish(Tensor(x), p)
-    sw = swish(Tensor(x))
+    zc = zc_op(Tensor(x), p)
+    sw = apply_activation(Tensor(x), SWISH)
     np.testing.assert_allclose(zc.data, sw.data, atol=1e-6)
 
 
@@ -111,14 +130,14 @@ class TestZCSwishBackward:
         p = params_from(0.7, 0.2, 3.0)
         x = Tensor(np.full((1, 1), 0.7, dtype=np.float64), requires_grad=True)
         with Tape() as tape:
-            tape.backward(tsum(zc_swish(x, p)))
+            tape.backward(tsum(zc_op(x, p)))
         np.testing.assert_allclose(x.grad, 3.0 / 2.0, rtol=1e-12)
 
     def test_grad_g_equals_output_over_gain(self):
         p = params_from(0.4, -0.3, 2.0)
         x = Tensor(np.array([[1.3]]), dtype=np.float64)
         with Tape() as tape:
-            out = zc_swish(x, p)
+            out = zc_op(x, p)
             tape.backward(tsum(out))
         np.testing.assert_allclose(p.g.grad, out.data[0] / 2.0, rtol=1e-12)
 
@@ -127,7 +146,7 @@ class TestZCSwishBackward:
         for _ in range(5):
             x = Tensor(rng.standard_normal((3, 2, 2, 2)) * 3, dtype=np.float64)
             p = params_from(rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(0.5, 2), channels=2)
-            err = gradcheck(lambda xx, c, b, g: tsum(zc_swish(xx, ZCSwishParams(c, b, g))), [x, *p.tensors()])
+            err = gradcheck(lambda xx, c, b, g: tsum(zc_op(xx, ZCSwishParams(c, b, g))), [x, *p.tensors()])
             assert err < 1e-5
 
     def test_eq_grad_x_formula_against_independent_differences(self):
@@ -138,7 +157,7 @@ class TestZCSwishBackward:
         p = params_from(c, braw, g)
         xt = Tensor(xs.reshape(-1, 1), dtype=np.float64, requires_grad=True)
         with Tape() as tape:
-            tape.backward(tsum(zc_swish(xt, p)))
+            tape.backward(tsum(zc_op(xt, p)))
         h = 1e-6
         numeric = (zc_swish_eval(xs + h, c=c, beta=beta, g=g) - zc_swish_eval(xs - h, c=c, beta=beta, g=g)) / (2 * h)
         assert rel_err(xt.grad[:, 0], numeric) < 1e-8
@@ -147,40 +166,40 @@ class TestZCSwishBackward:
         p = params_from(0.1, 0.0, 1.0, channels=2)
         x = Tensor(np.ones((4, 2, 3, 3)), dtype=np.float64)
         with Tape() as tape:
-            tape.backward(tsum(zc_swish(x, p)))
+            tape.backward(tsum(zc_op(x, p)))
         assert p.g.grad.shape == (2,)
         # 4*3*3 identical positions contribute identically
         single = Tensor(np.ones((1, 2, 1, 1)), dtype=np.float64)
         p2 = params_from(0.1, 0.0, 1.0, channels=2)
         with Tape() as tape:
-            tape.backward(tsum(zc_swish(single, p2)))
+            tape.backward(tsum(zc_op(single, p2)))
         np.testing.assert_allclose(p.g.grad, 36.0 * p2.g.grad, rtol=1e-12)
 
 
 class TestBaselines:
     def test_relu_values(self):
-        out = relu(Tensor(np.array([-1.0, 2.0])))
+        out = apply_activation(Tensor(np.array([-1.0, 2.0])), RELU)
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_swish_values(self):
-        out = swish(Tensor(np.array([0.0, 1.0]), dtype=np.float64))
+        out = apply_activation(Tensor(np.array([0.0, 1.0]), dtype=np.float64), SWISH)
         assert out.data[0] == 0.0
         np.testing.assert_allclose(out.data[1], SWISH_AT_ONE, rtol=1e-12)
 
     def test_gelu_values(self):
-        out = gelu(Tensor(np.array([0.0, 1.0]), dtype=np.float64))
+        out = apply_activation(Tensor(np.array([0.0, 1.0]), dtype=np.float64), GELU)
         assert out.data[0] == 0.0
         assert abs(out.data[1] - GELU_TANH_AT_ONE) < 1e-6
 
-    @pytest.mark.parametrize("fn", [gelu, swish])
-    def test_smooth_baseline_gradients(self, fn):
+    @pytest.mark.parametrize("kind", [GELU, SWISH], ids=lambda k: k.value)
+    def test_smooth_baseline_gradients(self, kind):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal(40) * 3, dtype=np.float64)
-        assert gradcheck(lambda a: tsum(fn(a)), [x]) < 1e-6
+        assert gradcheck(lambda a: tsum(apply_activation(a, kind)), [x]) < 1e-6
 
     def test_relu_gradient_away_from_kink(self):
         x = Tensor(np.array([-2.0, -0.5, 0.5, 2.0]), dtype=np.float64)
-        assert gradcheck(lambda a: tsum(relu(a)), [x]) < 1e-10
+        assert gradcheck(lambda a: tsum(apply_activation(a, RELU)), [x]) < 1e-10
 
     def test_apply_activation_dispatch(self):
         x = Tensor(np.array([[1.0]]), dtype=np.float64)
@@ -248,9 +267,10 @@ class TestCenteringAnchor:
 def test_swish_mean_shift_is_positive_on_zero_mean_gaussians():
     rng = np.random.default_rng(11)
     sample = rng.standard_normal(100_000)
-    m = float(swish_eval(sample).mean())
+    vals = activation_eval(SWISH, sample)
+    m = float(vals.mean())
     # one-sided z-test against mean <= 0
-    se = float(swish_eval(sample).std(ddof=1)) / np.sqrt(sample.size)
+    se = float(vals.std(ddof=1)) / np.sqrt(sample.size)
     assert m > 0
     assert m / se > 3.09  # z beyond the 99.9th percentile
 
@@ -262,15 +282,15 @@ def test_activation_curves_columns_and_origin_row():
     at_zero = np.flatnonzero(xs == 0.0)[0]
     for name in ("relu", "gelu", "swish", "zcswish"):
         assert cols[name][at_zero] == 0.0
-    np.testing.assert_allclose(cols["relu"], relu_eval(xs))
-    np.testing.assert_allclose(cols["gelu"], gelu_eval(xs))
+    for kind in ActivationKind:
+        np.testing.assert_array_equal(cols[kind.value], activation_eval(kind, xs))
 
 
 def test_gradcheck_named_examples():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal(30) * 2, dtype=np.float64)
-    assert gradcheck(lambda a: tsum(swish(a)), [x]) < 1e-6
+    assert gradcheck(lambda a: tsum(apply_activation(a, SWISH)), [x]) < 1e-6
     p = params_from(0.2, 0.4, 1.3, channels=1)
     xt = Tensor(rng.standard_normal((10, 1)) * 2, dtype=np.float64)
-    err = gradcheck(lambda xx, c, b, g: tsum(zc_swish(xx, ZCSwishParams(c, b, g))), [xt, *p.tensors()])
+    err = gradcheck(lambda xx, c, b, g: tsum(zc_op(xx, ZCSwishParams(c, b, g))), [xt, *p.tensors()])
     assert err < 1e-5

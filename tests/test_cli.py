@@ -84,7 +84,7 @@ class TestTrainCommand:
 
     def test_multi_seed_aggregate_and_jobs(self, data_dir, tmp_path):
         out = tmp_path / "runm"
-        rc = run_cli(*base_train_args(data_dir, out), "--activation", "relu", "--seeds", "1,2", "--jobs", "2")
+        rc = run_cli(*base_train_args(data_dir, out), "--activation", "relu", "--seeds", "1,2")
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["aggregate"]["seeds"] == [1, 2]

@@ -96,6 +96,26 @@ class TestStandardization:
         sidecar.write_text(json.dumps(mutated))
         assert ensure_channel_stats(tmp_path)["mean"] == [0.5, 0.5, 0.5]
 
+    def test_replaced_train_records_get_fresh_statistics(self, tmp_path):
+        rng = np.random.default_rng(0)
+        labels = np.arange(4, dtype=np.uint8)
+
+        def write_train(low, high):
+            pixels = rng.integers(low, high, size=(4, 3, 32, 32), dtype=np.uint8)
+            write_cifar_records(tmp_path / "train.bin", labels, labels, pixels)
+            return pixels
+
+        write_train(0, 100)
+        load_cifar100(tmp_path, "train")
+        pixels = write_train(100, 256)  # same size, different bytes
+        ds = load_cifar100(tmp_path, "train")
+        x = pixels.astype(np.float32) / np.float32(255.0)
+        stats = json.loads((tmp_path / "channel_stats.json").read_text())
+        assert stats["mean"] == [float(m) for m in x.mean(axis=(0, 2, 3), dtype=np.float64)]
+        assert stats["train_bytes"] == (tmp_path / "train.bin").stat().st_size
+        np.testing.assert_allclose(ds.images.mean(axis=(0, 2, 3), dtype=np.float64), 0.0, atol=1e-3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["channel_stats.json", "train.bin"]
+
     def test_test_split_uses_train_statistics(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 4, 4, num_classes=10, seed=2)
         stats = ensure_channel_stats(tmp_path)

@@ -11,8 +11,6 @@ from actlab.plainnet import (
     audit,
     build,
     count_params,
-    load_checkpoint,
-    save_checkpoint,
 )
 from actlab.tensor import ShapeError, Tensor, softmax_cross_entropy
 
@@ -191,28 +189,3 @@ class TestAuditAndCheckpoint:
         assert summary["layer_kinds"]["maxpool"] == 5
         assert summary["layer_kinds"]["linear"] == 2
         assert summary["activation_sites"] == 14  # 13 conv sites + head relu
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        cfg = PlainNetConfig(depth=8, width_divisor=8, activation=ActivationKind.ZCSWISH, dropout_p=0.25)
-        model = build(cfg, np.random.default_rng(11))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.config.to_dict() == model.config.to_dict()
-        for (na, ta), (nb, tb) in zip(model.named_parameters(), loaded.named_parameters()):
-            assert na == nb
-            np.testing.assert_array_equal(ta.data, tb.data)
-        rng = np.random.default_rng(3)
-        batch = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32))
-        np.testing.assert_array_equal(model.forward(batch).data, loaded.forward(batch).data)
-
-    def test_checkpoint_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"definitely not a checkpoint")
-        with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)
-
-    def test_config_dict_roundtrip(self):
-        cfg = PlainNetConfig(depth=8, width_divisor=4, activation=ActivationKind.SWISH, dropout_p=0.3)
-        again = PlainNetConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()

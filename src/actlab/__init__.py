@@ -18,7 +18,7 @@ from actlab.data import Dataset, load_cifar100, subset, write_synthetic_cifar100
 from actlab.plainnet import PlainNet, PlainNetConfig, audit, build, count_params
 from actlab.probes import drift_experiment, layer_stats
 from actlab.tensor import ShapeError, Tape, Tensor, gradcheck
-from actlab.trainer import AdamW, RunRecord, evaluate, multi_seed, train
+from actlab.trainer import AdamW, RunRecord, evaluate, train
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "gradcheck",
     "layer_stats",
     "load_cifar100",
-    "multi_seed",
     "subset",
     "train",
     "write_synthetic_cifar100",

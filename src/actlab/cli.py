@@ -32,7 +32,7 @@ from actlab.activations import (
     zc_swish_eval,
 )
 from actlab.config import PRESETS, ExperimentConfig
-from actlab.data import DATA_DIR_ENV, default_data_dir, load_cifar100, subset
+from actlab.data import DATA_DIR_ENV, atomic_write, default_data_dir, load_cifar100, subset
 from actlab.plainnet import PlainNetConfig, build, count_params
 from actlab.probes import drift_experiment
 from actlab.tensor import (
@@ -55,10 +55,16 @@ __all__ = ["main", "GRADCHECK_CASES"]
 
 
 def _write_csv(path, header: list[str], rows):
-    with open(path, "w", encoding="utf-8") as f:
+    """Floats as ``repr`` (shortest round-trip form), everything else as ``str``."""
+    with atomic_write(path) as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _write_json(path, obj):
+    with atomic_write(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +90,11 @@ def _merge_config(args) -> ExperimentConfig:
         "data_dir": args.data_dir,
         "out_dir": args.out,
         "precision": args.precision,
+        "seeds": None if args.seeds is None else args.seeds.split(","),  # ExperimentConfig makes them ints
     }
-    if args.seeds is not None:
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig.from_dict({"schema_version": merged.pop("schema_version", 1), **merged})
+    return ExperimentConfig.from_dict(merged)
 
-
-def _run_one_seed(config: ExperimentConfig, train_ds, test_ds, seed: int, out_dir: Path):
-    record = train(config, train_ds, test_ds, seed=seed)
-    seed_dir = out_dir / f"seed_{seed}"
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    record.write_metrics_csv(seed_dir / "metrics.csv")
-    record.write_steps_csv(seed_dir / "steps.csv")
-    record.write_layerstats_csv(seed_dir / "layerstats.csv")
-    (seed_dir / "summary.json").write_text(json.dumps(record.summary_dict(), indent=2, sort_keys=True) + "\n")
-    return record
 
 def cmd_train(args) -> int:
     config = _merge_config(args)
@@ -117,9 +112,17 @@ def cmd_train(args) -> int:
     )
     config.out_dir = str(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(config.to_json())
+    _write_json(out_dir / "config.json", config.to_dict())
 
-    records = [_run_one_seed(config, train_ds, test_ds, s, out_dir) for s in config.seeds]
+    records = []
+    for seed in config.seeds:
+        record = train(config, train_ds, test_ds, seed=seed)
+        seed_dir = out_dir / f"seed_{seed}"
+        seed_dir.mkdir(exist_ok=True)
+        for fname, (header, rows) in record.tables().items():
+            _write_csv(seed_dir / fname, header, rows)
+        _write_json(seed_dir / "summary.json", record.summary_dict())
+        records.append(record)
 
     agg = aggregate_runs(records)
     summary = {
@@ -127,7 +130,7 @@ def cmd_train(args) -> int:
         "aggregate": agg,
         "per_seed": [r.summary_dict() for r in records],
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "summary.json", summary)
     print(AGGREGATE_HEADER)
     print(format_aggregate_row(config.activation, agg))
     print(f"run directory: {out_dir}")

@@ -7,9 +7,7 @@ for byte (deterministic kernels plus seeded generators everywhere).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 from actlab.activations import ActivationKind
 from actlab.plainnet import PlainNetConfig
@@ -56,6 +54,8 @@ class ExperimentConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.seeds = [int(s) for s in self.seeds]
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must list at least one seed and none twice, got {self.seeds}")
 
     def model_config(self) -> PlainNetConfig:
         return PlainNetConfig(
@@ -69,9 +69,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
@@ -82,13 +79,6 @@ class ExperimentConfig:
         if got_version != SCHEMA_VERSION:
             raise ValueError(f"config schema_version {got_version} unsupported, expected {SCHEMA_VERSION}")
         return cls(**d)
-
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path):
-        Path(path).write_text(self.to_json())
 
 
 def _desk() -> dict:

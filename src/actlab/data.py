@@ -13,6 +13,9 @@ train statistics. The sidecar records train.bin's size and sha256 and
 is recomputed whenever they no longer match. No augmentation of any
 kind is applied here: the training recipes this lab studies are
 deliberately bare, and augmenting would confound them.
+
+Every file actlab writes goes through :func:`atomic_write`, so a killed
+process never leaves a half-written file in place of a good one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +36,7 @@ __all__ = [
     "DATA_DIR_ENV",
     "Dataset",
     "BatchPlan",
+    "atomic_write",
     "read_cifar_records",
     "write_cifar_records",
     "load_cifar100",
@@ -67,6 +72,26 @@ class Dataset:
         return int(self.fine_labels.max()) + 1 if len(self) else 0
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write ``path`` through a temp file that replaces it only on success.
+
+    The temp file sits next to ``path`` and carries the process id; if
+    anything raises it is deleted and ``path`` is left untouched. Plain
+    ``open`` gives the usual umask permissions. No fsync: this survives a
+    killed process, not a power loss. Text modes write UTF-8.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw record arrays: (coarse u8 [N], fine u8 [N], pixels u8 [N,3,32,32])."""
     path = Path(path)
@@ -95,7 +120,8 @@ def write_cifar_records(path, coarse: np.ndarray, fine: np.ndarray, pixels: np.n
     records[:, 0] = coarse
     records[:, 1] = fine
     records[:, 2:] = pixels.reshape(n, -1)
-    records.tofile(path)
+    with atomic_write(path, "wb") as f:
+        records.tofile(f)
 
 
 def _train_identity(path: Path) -> dict:
@@ -133,9 +159,8 @@ def ensure_channel_stats(data_dir) -> dict:
         "scale": "x/255",
         **identity,
     }
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    tmp.write_text(json.dumps(stats, indent=2, sort_keys=True))
-    os.replace(tmp, sidecar)
+    with atomic_write(sidecar) as f:
+        f.write(json.dumps(stats, indent=2, sort_keys=True))
     return stats
 
 

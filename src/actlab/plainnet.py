@@ -63,40 +63,31 @@ HEAD_WIDTH = 512
 
 @dataclass
 class PlainNetConfig:
-    """Architecture knobs. channel_progression / pool_after default to the
-    canonical layout for the chosen depth; width_divisor shrinks every
-    channel count for desk-scale runs (1 = full scale)."""
+    """Architecture knobs. The conv layout is ``DEPTH_LAYOUTS[depth]``;
+    width_divisor shrinks every channel count for desk-scale runs
+    (1 = full scale)."""
 
     depth: int = 16
     width_divisor: int = 1
     activation: ActivationKind = ActivationKind.RELU
     num_classes: int = 100
     dropout_p: float = 0.5
-    channel_progression: tuple[int, ...] | None = None
-    pool_after: frozenset[int] | None = None
 
     def __post_init__(self):
         if isinstance(self.activation, str):
             self.activation = ActivationKind.parse(self.activation)
-        if self.channel_progression is None or self.pool_after is None:
-            if self.depth not in DEPTH_LAYOUTS:
-                raise ValueError(f"depth must be one of {sorted(DEPTH_LAYOUTS)}, got {self.depth}")
-            prog, pools = DEPTH_LAYOUTS[self.depth]
-            if self.channel_progression is None:
-                self.channel_progression = prog
-            if self.pool_after is None:
-                self.pool_after = pools
-        self.channel_progression = tuple(int(c) for c in self.channel_progression)
-        self.pool_after = frozenset(int(i) for i in self.pool_after)
+        if self.depth not in DEPTH_LAYOUTS:
+            raise ValueError(f"depth must be one of {sorted(DEPTH_LAYOUTS)}, got {self.depth}")
 
     def scaled_channels(self) -> list[int]:
         w = self.width_divisor
         if w < 1:
             raise ValueError(f"width_divisor must be a positive integer, got {w}")
-        for ch in (*self.channel_progression, HEAD_WIDTH):
+        progression = DEPTH_LAYOUTS[self.depth][0]
+        for ch in (*progression, HEAD_WIDTH):
             if ch % w != 0:
                 raise ValueError(f"width_divisor {w} does not divide channel count {ch}")
-        return [ch // w for ch in self.channel_progression]
+        return [ch // w for ch in progression]
 
     @property
     def head_width(self) -> int:
@@ -236,10 +227,10 @@ def build(config: PlainNetConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE)
     state: draw order is layer by layer, weight then bias.
     """
     channels = config.scaled_channels()
+    pool_after = DEPTH_LAYOUTS[config.depth][1]
     dtype = np.dtype(dtype)
     layers: list = []
     in_c = INPUT_CHANNELS
-    spatial = INPUT_SIZE
     zc = config.activation is ActivationKind.ZCSWISH
     for i, out_c in enumerate(channels, start=1):
         name = f"conv{i}"
@@ -252,18 +243,11 @@ def build(config: PlainNetConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE)
         )
         params = ZCSwishParams.initial(out_c, dtype=dtype) if zc else None
         layers.append(ActivationSite(f"act{i}", config.activation, params))
-        if i in config.pool_after:
+        if i in pool_after:
             layers.append(PoolLayer(f"pool{i}"))
-            spatial //= 2
         in_c = out_c
-    if spatial != 1:
-        raise ValueError(
-            f"pool placement leaves a {spatial}x{spatial} map; expected 1x1 before the head"
-        )
     layers.append(FlattenLayer("flatten"))
     hw = config.head_width
-    if in_c != hw:
-        raise ValueError(f"last conv width {in_c} must match head width {hw}")
     layers.append(
         LinearLayer("fc1", weight=_uniform_fan_in(rng, (hw, hw), hw, dtype), bias=_uniform_fan_in(rng, (hw,), hw, dtype))
     )

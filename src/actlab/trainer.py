@@ -27,7 +27,6 @@ __all__ = [
     "RunRecord",
     "evaluate",
     "train",
-    "multi_seed",
     "aggregate_runs",
     "format_aggregate_row",
 ]
@@ -125,7 +124,7 @@ class RunRecord:
     config: dict
     epochs: list[EpochRecord] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
-    layer_stats_rows: list[dict] = field(default_factory=list)
+    layer_stats_rows: list[tuple] = field(default_factory=list)  # (epoch, layer, mean, std, dead_frac, grad_norm)
     param_total: int = 0
     param_activation: int = 0
 
@@ -141,27 +140,19 @@ class RunRecord:
     def nonfinite_steps(self) -> int:
         return sum(1 for s in self.steps if s.nonfinite)
 
-    def write_metrics_csv(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("epoch,split,loss,accuracy\n")
-            for e in self.epochs:
-                f.write(f"{e.epoch},train,{e.train_loss!r},{e.train_acc!r}\n")
-                f.write(f"{e.epoch},test,{e.test_loss!r},{e.test_acc!r}\n")
-
-    def write_steps_csv(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("step,loss,grad_norm,nonfinite_flag\n")
-            for s in self.steps:
-                f.write(f"{s.step},{s.loss!r},{s.grad_norm!r},{int(s.nonfinite)}\n")
-
-    def write_layerstats_csv(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("epoch,layer,mean,std,dead_frac,grad_norm\n")
-            for row in self.layer_stats_rows:
-                f.write(
-                    f"{row['epoch']},{row['layer']},{row['mean']!r},{row['std']!r},"
-                    f"{row['dead_frac']!r},{row['grad_norm']!r}\n"
-                )
+    def tables(self) -> dict[str, tuple[list[str], list[tuple]]]:
+        """The run's CSV tables as (header, rows), keyed by file name."""
+        metrics = []
+        for e in self.epochs:
+            metrics += [(e.epoch, "train", e.train_loss, e.train_acc), (e.epoch, "test", e.test_loss, e.test_acc)]
+        return {
+            "metrics.csv": (["epoch", "split", "loss", "accuracy"], metrics),
+            "steps.csv": (
+                ["step", "loss", "grad_norm", "nonfinite_flag"],
+                [(s.step, s.loss, s.grad_norm, int(s.nonfinite)) for s in self.steps],
+            ),
+            "layerstats.csv": (["epoch", "layer", "mean", "std", "dead_frac", "grad_norm"], self.layer_stats_rows),
+        }
 
     def summary_dict(self) -> dict:
         best_te, best_tr = self.best_test, self.best_train
@@ -233,17 +224,10 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
         tr_loss, tr_acc = evaluate(model, train_ds, batch_size=config.batch_size)
         te_loss, te_acc = evaluate(model, test_ds, batch_size=config.batch_size)
         record.epochs.append(EpochRecord(epoch, tr_loss, tr_acc, te_loss, te_acc))
-        for st in layer_stats(model, probe_images, probe_labels):
-            record.layer_stats_rows.append(
-                {
-                    "epoch": epoch,
-                    "layer": st.site,
-                    "mean": st.mean,
-                    "std": st.std,
-                    "dead_frac": st.dead_frac,
-                    "grad_norm": st.grad_norm,
-                }
-            )
+        record.layer_stats_rows.extend(
+            (epoch, st.site, st.mean, st.std, st.dead_frac, st.grad_norm)
+            for st in layer_stats(model, probe_images, probe_labels)
+        )
 
     snapshot(0)
     step = 0
@@ -289,16 +273,6 @@ def aggregate_runs(records: list[RunRecord]) -> dict:
         "param_total": records[0].param_total,
         "param_activation": records[0].param_activation,
     }
-
-
-def multi_seed(
-    config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seeds: list[int] | None = None
-) -> tuple[list[RunRecord], dict]:
-    seeds = config.seeds if seeds is None else seeds
-    if not seeds:
-        raise ValueError("need at least one seed")
-    records = [train(config, train_ds, test_ds, seed=s) for s in seeds]
-    return records, aggregate_runs(records)
 
 
 AGGREGATE_HEADER = f"{'activation':<12}{'total params':>14}{'act params':>12}{'best train acc %':>22}{'best test acc %':>22}"

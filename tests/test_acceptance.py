@@ -11,7 +11,6 @@ stretch check: set ACTLAB_RUN_STRETCH=1 or use scripts/depth16_stretch.py.
 
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -19,7 +19,7 @@ from actlab.activations import (
 )
 from actlab.tensor import ShapeError, Tape, Tensor, gradcheck, tsum
 
-from oracles import central_difference, rel_err
+from oracles import rel_err
 
 # softplus(BETA_RAW_FOR_UNIT_SLOPE) == 1 exactly in real arithmetic
 BETA_RAW_FOR_UNIT_SLOPE = 0.5413248546129181

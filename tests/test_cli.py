@@ -8,7 +8,6 @@ import pytest
 import actlab.cli as cli
 from actlab.activations import zc_swish_eval
 from actlab.data import write_synthetic_cifar100
-from actlab.tensor import Tensor, tsum
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +77,10 @@ class TestTrainCommand:
         out2 = tmp_path / "runb"
         rc = run_cli("train", "--config", out1 / "config.json", "--out", out2)
         assert rc == 0
-        a = (out1 / "seed_7" / "metrics.csv").read_bytes()
-        b = (out2 / "seed_7" / "metrics.csv").read_bytes()
-        assert a == b
+        for fname in ("metrics.csv", "steps.csv", "layerstats.csv", "summary.json"):
+            a = (out1 / "seed_7" / fname).read_bytes()
+            b = (out2 / "seed_7" / fname).read_bytes()
+            assert a == b, fname
 
     def test_multi_seed_aggregate_and_jobs(self, data_dir, tmp_path):
         out = tmp_path / "runm"
@@ -97,6 +97,13 @@ class TestTrainCommand:
         assert rc == 1
         assert "flux_capacitor" in capsys.readouterr().err
 
+    def test_empty_seed_list_nonzero_exit_and_no_run_dir(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "runempty"
+        rc = run_cli(*base_train_args(data_dir, out, seeds=[]))
+        assert rc == 1
+        assert "seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_nonzero_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("ACTLAB_DATA_DIR", raising=False)
         rc = run_cli("train", "--depth", "8", "--out", tmp_path / "x")
@@ -111,6 +118,22 @@ class TestTrainCommand:
         args.remove(data_dir)
         rc = run_cli(*args, "--activation", "gelu", "--epochs", "0", "--seeds", "3")
         assert rc == 0
+
+
+class TestWriteCsv:
+    def test_failed_write_leaves_previous_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ["a", "b"], [(1, 0.5), (2, 0.25)])
+        assert path.read_bytes() == b"a,b\n1,0.5\n2,0.25\n"
+
+        def rows():
+            yield (3, 0.125)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli._write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == b"a,b\n1,0.5\n2,0.25\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 class TestCurvesCommand:

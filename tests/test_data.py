@@ -11,10 +11,10 @@ from actlab.data import (
     RECORD_BYTES,
     BatchPlan,
     Dataset,
+    atomic_write,
     batches,
     ensure_channel_stats,
     load_cifar100,
-    read_cifar_records,
     save_dataset,
     subset,
     write_cifar_records,
@@ -73,6 +73,23 @@ class TestLoader:
         ds = load_cifar100(tmp_path, "train")
         with pytest.raises(ValueError, match="normalize=False"):
             save_dataset(ds, tmp_path / "x.bin")
+
+
+class TestAtomicWrite:
+    def test_failed_binary_write_leaves_previous_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "t.bin"
+        with atomic_write(path, "wb") as f:
+            f.write(b"good")
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode  # same permissions as a plain open()
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_write(path, "wb") as f:
+                f.write(b"bad")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"good"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.bin", "t.bin"]
 
 
 class TestStandardization:

@@ -6,7 +6,6 @@ import pytest
 from actlab.activations import ActivationKind
 from actlab.plainnet import (
     DEPTH_LAYOUTS,
-    PlainNet,
     PlainNetConfig,
     audit,
     build,
@@ -68,7 +67,7 @@ class TestParamCounts:
         kind = ActivationKind.ZCSWISH if zc else ActivationKind.GELU
         cfg = PlainNetConfig(depth=depth, width_divisor=width_divisor, activation=kind)
         report = count_params(build(cfg, np.random.default_rng(1)))
-        total, act = closed_form_count(cfg.channel_progression, width_divisor, 100, zc)
+        total, act = closed_form_count(DEPTH_LAYOUTS[depth][0], width_divisor, 100, zc)
         assert (report.total, report.activation_params) == (total, act)
 
     def test_format_table_mentions_totals(self):

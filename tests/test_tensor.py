@@ -26,7 +26,6 @@ from oracles import (
     conv2d_nested,
     linear_nested,
     maxpool2_nested,
-    rel_err,
     softmax_cross_entropy_direct,
 )
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import actlab.trainer as trainer_module
-from actlab.activations import ActivationKind
+from actlab.cli import _write_csv, _write_json
 from actlab.config import PRESETS, ExperimentConfig
-from actlab.data import Dataset, load_cifar100, write_synthetic_cifar100
+from actlab.data import Dataset
 from actlab.plainnet import PlainNetConfig, build
 from actlab.tensor import Tensor
 from actlab.trainer import (
@@ -19,7 +19,6 @@ from actlab.trainer import (
     aggregate_runs,
     evaluate,
     format_aggregate_row,
-    multi_seed,
     train,
 )
 
@@ -218,9 +217,8 @@ class TestTrain:
     def test_csv_serialization_roundtrip(self, tmp_path):
         ds = tiny_dataset()
         rec = train(tiny_config(epochs=1), ds, ds)
-        rec.write_metrics_csv(tmp_path / "metrics.csv")
-        rec.write_steps_csv(tmp_path / "steps.csv")
-        rec.write_layerstats_csv(tmp_path / "layerstats.csv")
+        for fname, (header, rows) in rec.tables().items():
+            _write_csv(tmp_path / fname, header, rows)
         lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,split,loss,accuracy"
         assert len(lines) == 1 + 2 * len(rec.epochs)
@@ -234,7 +232,7 @@ class TestMultiSeed:
     def test_identical_seeds_give_zero_std(self):
         ds = tiny_dataset()
         cfg = tiny_config(epochs=1)
-        _, agg = multi_seed(cfg, ds, ds, seeds=[7, 7])
+        agg = aggregate_runs([train(cfg, ds, ds, seed=7) for _ in range(2)])
         assert agg["best_test_acc_std"] == 0.0
 
     def test_textbook_mean_and_sample_std(self):
@@ -250,15 +248,19 @@ class TestMultiSeed:
     def test_aggregate_matches_recomputation_from_records(self):
         ds = tiny_dataset()
         cfg = tiny_config(epochs=1)
-        records, agg = multi_seed(cfg, ds, ds, seeds=[1, 2])
+        records = [train(cfg, ds, ds, seed=s) for s in (1, 2)]
+        agg = aggregate_runs(records)
         accs = [r.best_test.test_acc for r in records]
         assert agg["best_test_acc_mean"] == pytest.approx(np.mean(accs))
         assert agg["best_test_acc_std"] == pytest.approx(np.std(accs, ddof=1))
 
     def test_empty_seed_list_rejected(self):
-        ds = tiny_dataset()
-        with pytest.raises(ValueError, match="seed"):
-            multi_seed(tiny_config(), ds, ds, seeds=[])
+        with pytest.raises(ValueError, match="seeds"):
+            tiny_config(seeds=[])
+
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            tiny_config(seeds=[7, 7])
 
     def test_format_row_contains_counts_and_percentages(self):
         agg = {
@@ -315,15 +317,13 @@ class TestExperimentConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(**PRESETS["desk"](), activation="zcswish", data_dir="/data")
         path = tmp_path / "config.json"
-        cfg.save(path)
-        again = ExperimentConfig.load(path)
+        _write_json(path, cfg.to_dict())
+        again = ExperimentConfig.from_dict(json.loads(path.read_text()))
         assert again.to_dict() == cfg.to_dict()
 
-    def test_unknown_field_named_in_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"depth": 8, "turbo_mode": True}))
+    def test_unknown_field_named_in_error(self):
         with pytest.raises(ValueError, match="turbo_mode"):
-            ExperimentConfig.load(path)
+            ExperimentConfig.from_dict({"depth": 8, "turbo_mode": True})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError, match="unknown activation"):

@@ -74,13 +74,22 @@ _GELU_A = 0.044715
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, any float dtype."""
+    """Numerically stable logistic function, float32 or float64.
+
+    With e = exp(-|x|), it is 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere (NaN included), so exp never overflows. Every step is an
+    elementwise ufunc in x's dtype, so each element is that one IEEE
+    division whatever the array's size or layout; the result has x's
+    shape and dtype (a 0-d array for a scalar).
+    """
     x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, out, out=out)  # -|x|; a NaN keeps x's own bits
+    np.exp(out, out=out)  # e: in [0, 1], or NaN
+    den = np.add(out, 1.0, out=np.empty_like(out))
+    # The numerator: 1 where x >= 0, as e <= 1 there; e (or its NaN) elsewhere.
+    np.maximum(out, x >= 0, out=out)
+    np.divide(out, den, out=out)
     return out
 
 

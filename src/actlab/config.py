@@ -53,7 +53,10 @@ class ExperimentConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        self.seeds = [int(s) for s in self.seeds]
+        try:
+            self.seeds = [int(s) for s in self.seeds]
+        except (TypeError, ValueError):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}") from None
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must list at least one seed and none twice, got {self.seeds}")
 

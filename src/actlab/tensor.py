@@ -346,26 +346,77 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major scan order of a 2x2 window
+
+
+def _first_match(q: np.ndarray, m: np.ndarray, nan: bool) -> np.ndarray:
+    """Where ``q`` holds the window maximum ``m``: equality, or any NaN when
+    the window has one (a NaN quarter always makes ``m`` NaN)."""
+    hit = q == m
+    if nan:
+        hit |= q != q
+    return hit
+
+
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 window maximum with stride 2.
 
-    Backward routes the incoming gradient to the window argmax; ties go
-    to the first element in row-major scan order of the window.
+    The output is the window element that ``argmax`` over the row-major
+    scan (top-left, top-right, bottom-left, bottom-right) would pick:
+    ties go to the first element, which fixes the sign of a zero maximum,
+    and NaN counts as the largest value, the first NaN winning. Backward
+    routes the incoming gradient to that same element and adds 0 to the
+    other three.
+
+    The forward pass is a ``np.maximum`` tournament over the four strided
+    quarter views. ``np.maximum`` may return either operand of a tie, which
+    only shows in the bits of a +0/-0 tie or of a NaN, so only windows whose
+    maximum is NaN, or is zero while ``x`` holds a set sign bit, are picked
+    again by the first-wins rule.
     """
     _check(x.ndim == 4, f"maxpool2 input must be 4-d [N,C,H,W], got shape {x.shape}")
     n, c, h, w = x.shape
     _check(h % 2 == 0 and w % 2 == 0, f"maxpool2 needs even spatial dims, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    windows = x.data.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = np.argmax(windows, axis=-1)
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    v = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
+    quarters = [v[:, :, :, dr, :, dc] for dr, dc in _WINDOW]
+    m = np.maximum(quarters[0], quarters[1])
+    np.maximum(m, quarters[2], out=m)
+    np.maximum(m, quarters[3], out=m)
+    redo = np.isnan(m)
+    nan = bool(redo.any())
+    zero = m == 0
+    bits = np.int32 if x.dtype == np.float32 else np.int64
+    if zero.any() and x.data.view(bits).min() < 0:  # a sign bit is set somewhere in x
+        redo |= zero
+    if redo.any():
+        picked = [q[redo] for q in quarters]
+        mr = m[redo]
+        best = picked[3]
+        for q in picked[2::-1]:
+            best = np.where(_first_match(q, mr, nan), q, best)
+        m[redo] = best
+    out = Tensor(m)
 
     def backward_fn(g: np.ndarray):
         if not x.requires_grad:
             return
-        gwin = np.zeros_like(windows)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        x.grad += gwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        # Integer products on the bit patterns: g's bits where the window's
+        # winner sits, +0.0's bits at the other three elements.
+        gbits = np.asarray(g, dtype=x.dtype).view(bits)
+        gx = np.empty(v.shape, dtype=bits)
+        free = None  # windows whose winner is not found yet
+        for (dr, dc), q in zip(_WINDOW, quarters):
+            if (dr, dc) == (1, 1):
+                hit = free  # the maximum is one of the quarters
+            else:
+                hit = _first_match(q, m, nan)
+                if free is None:
+                    free = ~hit
+                else:
+                    hit &= free
+                    free ^= hit
+            np.multiply(gbits, hit, out=gx[:, :, :, dr, :, dc])
+        x.grad += gx.view(x.dtype).reshape(n, c, h, w)
 
     return record_op(out, (x,), backward_fn)
 

@@ -121,7 +121,6 @@ class StepRecord:
 @dataclass
 class RunRecord:
     seed: int
-    config: dict
     epochs: list[EpochRecord] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
     layer_stats_rows: list[tuple] = field(default_factory=list)  # (epoch, layer, mean, std, dead_frac, grad_norm)
@@ -215,7 +214,6 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     )
     record = RunRecord(
         seed=seed,
-        config=config.to_dict(),
         param_total=report.total,
         param_activation=report.activation_params,
     )

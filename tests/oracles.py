@@ -4,7 +4,9 @@ Everything here is written as plainly as possible (scalar nested loops,
 direct formulas) and must stay independent of the package code paths it
 checks. Scalar accumulation order is part of the contract: bias first,
 then contributions in row-major index order, which is what the float64
-kernels in the package promise to match bit for bit.
+kernels in the package promise to match bit for bit. maxpool2_argmax and
+sigmoid_masked are the index-based forms the package's maxpool2 and
+sigmoid replaced; they define the bits those two must keep.
 """
 
 import numpy as np
@@ -50,6 +52,33 @@ def maxpool2_nested(x):
                     dr, dc = divmod(bestk, 2)
                     argpos[i, ch, r, cc] = (2 * r + dr) * w + (2 * cc + dc)
     return out, argpos
+
+
+def maxpool2_argmax(x, g):
+    """The argmax kernel ``maxpool2`` was first written with, kept as its bit
+    reference: returns the window outputs and the [N,C,H,W] array its
+    backward adds to ``x.grad`` for output gradient ``g`` (``g`` at each
+    window's argmax, 0 elsewhere). Unlike maxpool2_nested it picks NaN as
+    numpy's argmax does, as the largest value with the first NaN winning."""
+    n, c, h, w = x.shape
+    windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+    idx = np.argmax(windows, axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    gwin = np.zeros_like(windows)
+    np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
+    return out, gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
+def sigmoid_masked(x):
+    """Logistic function by boolean-mask scatter: 1 / (1 + exp(-x)) where
+    x >= 0 and exp(x) / (1 + exp(x)) elsewhere, NaN included."""
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def linear_nested(x, w, b):

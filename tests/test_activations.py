@@ -19,7 +19,7 @@ from actlab.activations import (
 )
 from actlab.tensor import ShapeError, Tape, Tensor, gradcheck, tsum
 
-from oracles import rel_err
+from oracles import rel_err, sigmoid_masked
 
 # softplus(BETA_RAW_FOR_UNIT_SLOPE) == 1 exactly in real arithmetic
 BETA_RAW_FOR_UNIT_SLOPE = 0.5413248546129181
@@ -231,6 +231,21 @@ class TestSigmoidSoftplus:
     def test_sigmoid_matches_naive_formula_in_safe_range(self):
         x = np.linspace(-30, 30, 1001)
         np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_match_masked_form(self, dtype):
+        rng = np.random.default_rng(5)
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1e4, -1e4]
+        scaled = rng.standard_normal(4000) * 10.0 ** rng.uniform(-45, 4, 4000)
+        x = np.concatenate([specials, scaled, np.finfo(dtype).tiny * rng.uniform(-1, 1, 200)]).astype(dtype)
+        rng.shuffle(x)
+        grid = x[:3900].reshape(30, 130)
+        cases = [x, grid.T[::2, 1::3], grid[7], np.asarray(x[0]), x[1], dtype(-0.0), dtype(np.nan)]
+        for case in cases:
+            got, want = sigmoid(case), sigmoid_masked(case)
+            assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+            np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
 
 class TestCenteringAnchor:

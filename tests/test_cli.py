@@ -104,6 +104,18 @@ class TestTrainCommand:
         assert "seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config_file"])
+    def test_non_integer_seed_nonzero_exit_naming_seeds(self, data_dir, tmp_path, capsys, where):
+        out = tmp_path / "runbadseed"
+        if where == "flag":
+            rc = run_cli(*base_train_args(data_dir, out), "--seeds", "1,x")
+        else:
+            rc = run_cli(*base_train_args(data_dir, out, seeds=[1, "x"]))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "seeds" in err and "'x'" in err
+        assert not out.exists()
+
     def test_missing_data_dir_nonzero_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("ACTLAB_DATA_DIR", raising=False)
         rc = run_cli("train", "--depth", "8", "--out", tmp_path / "x")

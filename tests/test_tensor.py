@@ -25,6 +25,7 @@ from actlab.tensor import (
 from oracles import (
     conv2d_nested,
     linear_nested,
+    maxpool2_argmax,
     maxpool2_nested,
     softmax_cross_entropy_direct,
 )
@@ -32,6 +33,16 @@ from oracles import (
 
 def t64(a, requires_grad=False):
     return Tensor(np.asarray(a, dtype=np.float64), requires_grad=requires_grad)
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+# every float class the pooling tie rule has to order: signed zeros,
+# infinities and NaNs of both signs
+POOL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan, -np.nan]
 
 
 class TestConv2d:
@@ -115,6 +126,61 @@ class TestMaxPool2:
     def test_odd_spatial_dim_rejected(self):
         with pytest.raises(ShapeError, match="even"):
             maxpool2(Tensor(np.zeros((1, 1, 3, 4))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "window, winner",
+        [
+            ([-0.0, 0.0, -1.0, 0.0], 0),
+            ([0.0, -0.0, -0.0, -1.0], 0),
+            ([-1.0, -0.0, 0.0, -0.0], 1),
+            ([np.inf, -np.nan, np.nan, np.inf], 1),
+        ],
+    )
+    def test_signed_zero_ties_and_nans_go_to_first_element(self, dtype, window, winner):
+        x = Tensor(np.array(window, dtype=dtype).reshape(1, 1, 2, 2), requires_grad=True)
+        with Tape() as tape:
+            out = maxpool2(x)
+            tape.backward(tsum(out))
+        assert bits(out.data).ravel()[0] == bits(x.data).ravel()[winner]
+        np.testing.assert_array_equal(x.grad.ravel(), np.eye(4)[winner])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    data=st.data(),
+)
+def test_maxpool2_bits_match_argmax_reference(shape, dtype, data):
+    n, c, h2, w2 = shape
+    values = st.sampled_from(POOL_VALUES)
+
+    def draw(size):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+
+    xd = draw(n * c * h2 * 2 * w2 * 2).reshape(n, c, 2 * h2, 2 * w2)
+    weight = draw(n * c * h2 * w2).reshape(n, c, h2, w2)
+    grad0 = draw(xd.size).reshape(xd.shape)  # x.grad before the pool's add
+    x = Tensor(xd.copy(), requires_grad=True)
+    x.grad = grad0.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf in the loss and in the grads
+        with Tape() as tape:
+            out = maxpool2(x)
+            tape.backward(tsum(mul(out, Tensor(weight))))
+        want_out, want_gx = maxpool2_argmax(xd, out.grad)
+        want_grad = grad0 + want_gx
+    np.testing.assert_array_equal(bits(out.data), bits(want_out))
+    np.testing.assert_array_equal(bits(x.grad), bits(want_grad))
+    if np.isfinite(xd).all():
+        nested_out, argpos = maxpool2_nested(xd)
+        np.testing.assert_array_equal(bits(out.data), bits(nested_out))
+        x = Tensor(xd.copy(), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(tsum(maxpool2(x)))
+        hit = np.zeros((n, c, xd.shape[2] * xd.shape[3]))
+        np.put_along_axis(hit, argpos.reshape(n, c, -1), 1.0, axis=-1)
+        np.testing.assert_array_equal(x.grad, hit.reshape(xd.shape))
 
 
 class TestLinear:

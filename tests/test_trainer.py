@@ -238,7 +238,7 @@ class TestMultiSeed:
     def test_textbook_mean_and_sample_std(self):
         records = []
         for seed, acc in [(1, 0.10), (2, 0.20), (3, 0.30)]:
-            r = RunRecord(seed=seed, config={})
+            r = RunRecord(seed=seed)
             r.epochs.append(EpochRecord(0, 1.0, acc, 1.0, acc))
             records.append(r)
         agg = aggregate_runs(records)

@@ -9,7 +9,9 @@ gradients additively into ``Tensor.grad``.
 
 Two kernel families exist for conv2d and linear, selected by dtype:
 
-* float32 (the training path): im2col plus BLAS matmul.
+* float32 (the training path): one BLAS GEMM per pass. conv2d builds its
+  patch matrix from a channels-last padded input with 9 slice copies and
+  returns a channels-last view of the GEMM result.
 * float64 (the verification path): fixed-order accumulation whose
   summation order matches a naive nested-loop evaluation bit for bit,
   and whose per-sample results are independent of the rest of the batch.
@@ -20,7 +22,6 @@ and batch-independent in both dtypes.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,15 +105,7 @@ class Tensor:
     __rmul__ = __mul__
 
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_tls, "tapes", None)
-    if stack is None:
-        stack = []
-        _tls.tapes = stack
-    return stack
+_tapes: list["Tape"] = []  # active tapes, innermost last
 
 
 class Tape:
@@ -123,20 +116,20 @@ class Tape:
     records in exact reverse order of recording, and a tensor consumed k
     times receives the sum of its k contributions.
 
-    The active-tape stack is thread-local: recording and backward are
-    single-threaded per tape, while tensors themselves may be handed
-    freely between threads.
+    Tapes nest: operations are recorded on the innermost active tape. The
+    stack of active tapes is one per process, so record and run backward
+    from one thread.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _tapes.pop()
         return False
 
     def __len__(self) -> int:
@@ -170,10 +163,9 @@ class Tape:
 
 def record_op(output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Attach ``output`` to the innermost active tape, if gradients are wanted."""
-    stack = _tape_stack()
-    if stack and any(t.requires_grad for t in inputs):
+    if _tapes and any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        stack[-1].record(output, inputs, backward_fn)
+        _tapes[-1].record(output, inputs, backward_fn)
     return output
 
 
@@ -255,24 +247,26 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def _pad1(x: np.ndarray) -> np.ndarray:
+    """[N, C, H, W] input -> (N, H+2, W+2, C) channels-last, zero border of 1."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1 : h + 1, 1 : w + 1] = x
+    xp = np.zeros((n, h + 2, w + 2, c), dtype=x.dtype)
+    xp[:, 1 : h + 1, 1 : w + 1, :] = x.transpose(0, 2, 3, 1)
     return xp
 
 
 def _im2col(xp: np.ndarray, h: int, w: int) -> np.ndarray:
-    """(N, C, H+2, W+2) padded input -> (N*H*W, C*9) patch matrix.
+    """(N, H+2, W+2, C) padded input -> C-contiguous (N*H*W, C*9) patch matrix.
 
-    Column order is (channel, kernel row, kernel col) row-major, matching
-    ``weight.reshape(c_out, -1)``.
+    Each of the 9 kernel taps is one slice copy into an (N, H, W, C, 3, 3)
+    buffer, whose reshape to the matrix is free. Column order is (channel,
+    kernel row, kernel col) row-major, matching ``weight.reshape(c_out, -1)``.
     """
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, 3, 3, h, w), dtype=xp.dtype)
+    n, c = xp.shape[0], xp.shape[3]
+    cols = np.empty((n, h, w, c, 3, 3), dtype=xp.dtype)
     for kh in range(3):
         for kw in range(3):
-            cols[:, :, kh, kw] = xp[:, :, kh : kh + h, kw : kw + w]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * h * w, c * 9)
+            cols[..., kh, kw] = xp[:, kh : kh + h, kw : kw + w, :]
+    return cols.reshape(n * h * w, c * 9)
 
 
 def _conv_forward_exact(xp: np.ndarray, w: np.ndarray, b: np.ndarray, h: int, wd: int) -> np.ndarray:
@@ -286,7 +280,7 @@ def _conv_forward_exact(xp: np.ndarray, w: np.ndarray, b: np.ndarray, h: int, wd
     for ci in range(w.shape[1]):
         for kh in range(3):
             for kw in range(3):
-                out += w[:, ci, kh, kw].reshape(1, c_out, 1, 1) * xp[:, ci : ci + 1, kh : kh + h, kw : kw + wd]
+                out += w[:, ci, kh, kw].reshape(1, c_out, 1, 1) * xp[:, None, kh : kh + h, kw : kw + wd, ci]
     return out
 
 
@@ -295,7 +289,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     Shapes: x [N, C_in, H, W], weight [C_out, C_in, 3, 3], bias [C_out];
     output [N, C_out, H, W]. Backward fills gradients for all three
-    inputs.
+    inputs. In float32 the output is channels-last in memory (a transposed
+    view of the (N*H*W, C_out) GEMM result).
     """
     _check(x.ndim == 4, f"conv2d input must be 4-d [N,C,H,W], got shape {x.shape}")
     n, c_in, h, w = x.shape
@@ -316,27 +311,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.data.dtype == np.float64:
         out_data = _conv_forward_exact(xp, weight.data, bias.data, h, w)
     else:
-        cols = _im2col(xp, h, w)
-        out_data = cols @ weight.data.reshape(c_out, c_in * 9).T + bias.data
+        out_data = _im2col(xp, h, w) @ weight.data.reshape(c_out, c_in * 9).T
+        out_data += bias.data
         out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
     out = Tensor(out_data)
 
     def backward_fn(g: np.ndarray):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * h * w, c_out)
-        if weight.requires_grad or x.requires_grad:
-            cols_b = _im2col(xp, h, w)
         if weight.requires_grad:
-            weight.grad += (gmat.T @ cols_b).reshape(c_out, c_in, 3, 3)
+            weight.grad += (gmat.T @ _im2col(xp, h, w)).reshape(c_out, c_in, 3, 3)
         if bias.requires_grad:
             bias.grad += g.sum(axis=(0, 2, 3))
         if x.requires_grad:
-            gcols = gmat @ weight.data.reshape(c_out, c_in * 9)
-            gc = gcols.reshape(n, h, w, c_in, 3, 3).transpose(0, 3, 4, 5, 1, 2)
+            gcols = (gmat @ weight.data.reshape(c_out, c_in * 9)).reshape(n, h, w, c_in, 3, 3)
             gxp = np.zeros_like(xp)
             for kh in range(3):
                 for kw in range(3):
-                    gxp[:, :, kh : kh + h, kw : kw + w] += gc[:, :, kh, kw]
-            x.grad += gxp[:, :, 1 : h + 1, 1 : w + 1]
+                    gxp[:, kh : kh + h, kw : kw + w, :] += gcols[..., kh, kw]
+            x.grad += gxp[:, 1 : h + 1, 1 : w + 1, :].transpose(0, 3, 1, 2)
 
     return record_op(out, (x, weight, bias), backward_fn)
 

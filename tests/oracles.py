@@ -6,7 +6,8 @@ checks. Scalar accumulation order is part of the contract: bias first,
 then contributions in row-major index order, which is what the float64
 kernels in the package promise to match bit for bit. maxpool2_argmax and
 sigmoid_masked are the index-based forms the package's maxpool2 and
-sigmoid replaced; they define the bits those two must keep.
+sigmoid replaced; they define the bits those two must keep, and
+conv2d_im2col_nchw does the same for conv2d's GEMM kernel.
 """
 
 import numpy as np
@@ -30,6 +31,47 @@ def conv2d_nested(x, w, b):
                                 acc = acc + w[o, ci, kh, kw] * xp[i, ci, r + kh, cc + kw]
                     out[i, o, r, cc] = acc
     return out
+
+
+def conv2d_im2col_nchw(x, w, b, g):
+    """The NCHW im2col kernel ``conv2d`` was first written with, kept as its
+    bit reference. Returns the output (float64 by fixed-order accumulation,
+    float32 as a channels-last view of the GEMM result, laid out as the
+    package's) and the x, w and b gradients a fresh backward leaves when
+    ``g`` is added to the output's zero gradient, as a tape does."""
+    n, c_in, h, wd = x.shape
+    c_out = w.shape[0]
+    xp = np.zeros((n, c_in, h + 2, wd + 2), dtype=x.dtype)
+    xp[:, :, 1 : h + 1, 1 : wd + 1] = x
+    cols = np.empty((n, c_in, 3, 3, h, wd), dtype=x.dtype)
+    for kh in range(3):
+        for kw in range(3):
+            cols[:, :, kh, kw] = xp[:, :, kh : kh + h, kw : kw + wd]
+    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * h * wd, c_in * 9)
+    w2d = w.reshape(c_out, c_in * 9)
+    if x.dtype == np.float64:
+        out = np.broadcast_to(b.reshape(1, c_out, 1, 1), (n, c_out, h, wd)).astype(x.dtype).copy()
+        for ci in range(c_in):
+            for kh in range(3):
+                for kw in range(3):
+                    out += w[:, ci, kh, kw].reshape(1, c_out, 1, 1) * xp[:, ci : ci + 1, kh : kh + h, kw : kw + wd]
+    else:
+        out = (cols @ w2d.T + b).reshape(n, h, wd, c_out).transpose(0, 3, 1, 2)
+    gout = np.zeros_like(out)  # keeps the output's memory layout, as a tape's grad does
+    gout += g
+    gmat = gout.transpose(0, 2, 3, 1).reshape(n * h * wd, c_out)
+    gw = np.zeros_like(w)
+    gw += (gmat.T @ cols).reshape(w.shape)
+    gb = np.zeros_like(b)
+    gb += gout.sum(axis=(0, 2, 3))
+    gc = (gmat @ w2d).reshape(n, h, wd, c_in, 3, 3).transpose(0, 3, 4, 5, 1, 2)
+    gxp = np.zeros_like(xp)
+    for kh in range(3):
+        for kw in range(3):
+            gxp[:, :, kh : kh + h, kw : kw + wd] += gc[:, :, kh, kw]
+    gx = np.zeros_like(x)
+    gx += gxp[:, :, 1 : h + 1, 1 : wd + 1]
+    return out, gx, gw, gb
 
 
 def maxpool2_nested(x):

@@ -199,7 +199,7 @@ class TestGradcheckCommand:
         def corrupted(x):
             out = real_maxpool(x)
             # sabotage: overwrite the recorded gradient routing
-            stack = T._tape_stack()
+            stack = T._tapes
             if stack and stack[-1]._records:
                 output, inputs, _fn = stack[-1]._records[-1]
 

@@ -23,6 +23,7 @@ from actlab.tensor import (
 )
 
 from oracles import (
+    conv2d_im2col_nchw,
     conv2d_nested,
     linear_nested,
     maxpool2_argmax,
@@ -92,6 +93,38 @@ class TestConv2d:
         b = t64(rng.standard_normal(2))
         err = gradcheck(lambda a, ww, bb: tsum(mul(conv2d(a, ww, bb), conv2d(a, ww, bb))), [x, w, b])
         assert err < 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    c_in=st.integers(1, 5),
+    c_out=st.integers(1, 5),
+    size=st.sampled_from([1, 2, 4, 8]),
+    channels_last=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv2d_bits_match_nchw_im2col_reference(n, c_in, c_out, size, channels_last, dtype, seed):
+    # At N >= 2 the channels-last kernel hands BLAS the same operands as the
+    # NCHW one, so every bit and the output's memory layout must agree.
+    rng = np.random.default_rng(seed)
+    xd = rng.standard_normal((n, c_in, size, size)).astype(dtype)
+    if channels_last:
+        xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    wd = rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype)
+    bd = rng.standard_normal(c_out).astype(dtype)
+    gd = rng.standard_normal((n, c_out, size, size)).astype(dtype)
+    x, w, b = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+    with Tape() as tape:
+        out = conv2d(x, w, b)
+        tape.backward(tsum(mul(out, Tensor(gd))))
+    want_out, want_gx, want_gw, want_gb = conv2d_im2col_nchw(xd, wd, bd, gd)
+    assert out.data.strides == want_out.strides
+    np.testing.assert_array_equal(bits(out.data), bits(want_out))
+    np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
+    np.testing.assert_array_equal(bits(w.grad), bits(want_gw))
+    np.testing.assert_array_equal(bits(b.grad), bits(want_gb))
 
 
 class TestMaxPool2:

@@ -115,10 +115,6 @@ class ActivationKind(enum.Enum):
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown activation {name!r}, expected one of: {valid}") from None
 
-    @property
-    def params_per_channel(self) -> int:
-        return 3 if self is ActivationKind.ZCSWISH else 0
-
 
 @dataclass
 class ZCSwishParams:
@@ -129,9 +125,9 @@ class ZCSwishParams:
     g: Tensor
 
     @classmethod
-    def initial(cls, channels: int, dtype=DEFAULT_DTYPE, requires_grad: bool = True) -> "ZCSwishParams":
+    def initial(cls, channels: int, dtype=DEFAULT_DTYPE) -> "ZCSwishParams":
         def full(v):
-            return Tensor(np.full(channels, v, dtype=dtype), requires_grad=requires_grad)
+            return Tensor(np.full(channels, v, dtype=dtype), requires_grad=True)
 
         return cls(c=full(C_INIT), beta_raw=full(BETA_RAW_INIT), g=full(G_INIT))
 
@@ -321,14 +317,16 @@ class CenteringResult:
     note: str = ""
 
 
-def find_centering_anchor(
-    sample, beta: float = 1.0, tol: float = 1e-8, g: float = 1.0, max_iter: int = 200
-) -> CenteringResult:
+_MAX_BISECTIONS = 200
+
+
+def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> CenteringResult:
     """Find the anchor c that zeroes the sample mean of zc_swish.
 
-    Bisects mean(f(sample; c, beta, g)) over c in [-10*std, +10*std] of
-    the sample until |mean| < tol. A bracket without a sign change is
-    reported in the result, not raised.
+    Bisects mean(f(sample; c, beta, g=1)) over c in [-10*std, +10*std] of
+    the sample until |mean| < tol, for at most ``_MAX_BISECTIONS``
+    halvings. A bracket without a sign change is reported in the result,
+    not raised.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -339,7 +337,7 @@ def find_centering_anchor(
         raise ValueError("sample is empty")
 
     def mean_at(c: float) -> float:
-        return float(np.mean(zc_swish_eval(sample, c=c, beta=beta, g=g)))
+        return float(np.mean(zc_swish_eval(sample, c=c, beta=beta, g=1.0)))
 
     if np.all(sample == 0.0):
         # f(0) == 0 for every parameter choice, so any anchor works.
@@ -377,7 +375,7 @@ def find_centering_anchor(
             )
 
     c_mid, f_mid = lo, f_lo
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_BISECTIONS + 1):
         c_mid = 0.5 * (lo + hi)
         f_mid = mean_at(c_mid)
         if abs(f_mid) < tol:
@@ -386,7 +384,7 @@ def find_centering_anchor(
             lo, f_lo = c_mid, f_mid
         else:
             hi, f_hi = c_mid, f_mid
-    return CenteringResult(c_mid, f_mid, abs(f_mid) < tol, (lo, hi), max_iter, "iteration cap reached")
+    return CenteringResult(c_mid, f_mid, abs(f_mid) < tol, (lo, hi), _MAX_BISECTIONS, "iteration cap reached")
 
 
 def activation_curves(xs) -> dict[str, np.ndarray]:

@@ -67,6 +67,18 @@ def _write_json(path, obj):
         f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _parse_list(flag: str, text: str, convert, what: str, sep: str = ",") -> list:
+    """Split a list-valued flag and convert each item; a bad item fails
+    with a message that names the flag and the item."""
+    out = []
+    for item in text.split(sep):
+        try:
+            out.append(convert(item))
+        except ValueError:
+            raise ValueError(f"{flag}: {item!r} is not {what} (in {text!r})") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -90,7 +102,7 @@ def _merge_config(args) -> ExperimentConfig:
         "data_dir": args.data_dir,
         "out_dir": args.out,
         "precision": args.precision,
-        "seeds": None if args.seeds is None else args.seeds.split(","),  # ExperimentConfig makes them ints
+        "seeds": None if args.seeds is None else _parse_list("--seeds", args.seeds, int, "an integer"),
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig.from_dict(merged)
@@ -145,6 +157,12 @@ def cmd_train(args) -> int:
 def cmd_curves(args) -> int:
     if args.points < 1:
         raise ValueError(f"grid must contain at least one point, got --points {args.points}")
+    sweeps = {  # parameter -> (values, zc_swish with that parameter set to v)
+        "c": (args.c_values, lambda x, v: zc_swish_eval(x, c=v, beta=1.0, g=1.0)),
+        "g": (args.g_values, lambda x, v: zc_swish_eval(x, c=0.01, beta=1.0, g=v)),
+        "beta": (args.beta_values, lambda x, v: zc_swish_eval(x, c=0.01, beta=v, g=1.0)),
+    }
+    sweeps = {p: (_parse_list(f"--{p}-values", text, float, "a number"), fn) for p, (text, fn) in sweeps.items()}
     xs = np.linspace(args.x_min, args.x_max, args.points)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,15 +170,10 @@ def cmd_curves(args) -> int:
     cols = activation_curves(xs)
     _write_csv(out_dir / "baseline.csv", list(cols), zip(*(cols[k].tolist() for k in cols)))
 
-    sweeps = [
-        ("c_sweep.csv", "c", [float(v) for v in args.c_values.split(",")], lambda x, v: zc_swish_eval(x, c=v, beta=1.0, g=1.0)),
-        ("g_sweep.csv", "g", [float(v) for v in args.g_values.split(",")], lambda x, v: zc_swish_eval(x, c=0.01, beta=1.0, g=v)),
-        ("beta_sweep.csv", "beta", [float(v) for v in args.beta_values.split(",")], lambda x, v: zc_swish_eval(x, c=0.01, beta=v, g=1.0)),
-    ]
-    for fname, pname, values, fn in sweeps:
+    for pname, (values, fn) in sweeps.items():
         header = ["x"] + [f"{pname}={v:g}" for v in values]
         columns = [xs.tolist()] + [fn(xs, v).tolist() for v in values]
-        _write_csv(out_dir / fname, header, zip(*columns))
+        _write_csv(out_dir / f"{pname}_sweep.csv", header, zip(*columns))
     print(f"wrote baseline.csv, c_sweep.csv, g_sweep.csv, beta_sweep.csv to {out_dir}")
     return 0
 
@@ -254,10 +267,10 @@ GRADCHECK_CASES = [
 ]
 
 
-def run_gradcheck_suite(dtype=np.float64, h: float | None = None, seed: int = 0) -> dict[str, float]:
-    """Max relative FD error for every differentiable op, one seeded case each."""
-    if h is None:
-        h = 1e-5 if dtype == np.float64 else 1e-2
+def run_gradcheck_suite(dtype=np.float64, seed: int = 0) -> dict[str, float]:
+    """Max relative FD error for every differentiable op, one seeded case
+    each, at step 1e-5 in float64 and 1e-2 in float32."""
+    h = 1e-5 if dtype == np.float64 else 1e-2
     errors = {}
     for name, case in GRADCHECK_CASES:
         fn, inputs = case(np.random.default_rng(seed), dtype)
@@ -288,6 +301,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_params(args) -> int:
+    expected = None
+    if args.expect:
+        expected = _parse_list("--expect", args.expect, lambda p: int(p.replace("_", "").replace(",", "")), "an integer", ":")
     cfg = PlainNetConfig(
         depth=args.depth,
         width_divisor=args.width_divisor,
@@ -296,10 +312,9 @@ def cmd_params(args) -> int:
     model = build(cfg, np.random.default_rng(0))
     report = count_params(model)
     print(report.format_table())
-    if args.expect:
-        parts = [int(p.replace("_", "").replace(",", "")) for p in args.expect.split(":")]
-        expect_total = parts[0]
-        expect_act = parts[1] if len(parts) > 1 else None
+    if expected:
+        expect_total = expected[0]
+        expect_act = expected[1] if len(expected) > 1 else None
         if report.total != expect_total:
             print(f"MISMATCH: total {report.total:,} != expected {expect_total:,}")
             return 1

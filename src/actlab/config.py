@@ -3,6 +3,13 @@
 A run directory always receives the effective merged config as
 ``config.json``; re-running from that file alone reproduces the run byte
 for byte (deterministic kernels plus seeded generators everywhere).
+
+The config holds what varies between runs: the model's size and
+activation, the data, the epochs, batch size and seeds. The training
+recipe itself is fixed in code: the AdamW constants live in
+:mod:`actlab.trainer` and the dropout rate in :mod:`actlab.plainnet`.
+Schema version 2 dropped the recipe's fields; a version-1 file is
+refused, not migrated.
 """
 
 from __future__ import annotations
@@ -14,7 +21,22 @@ from actlab.plainnet import PlainNetConfig
 
 __all__ = ["SCHEMA_VERSION", "ExperimentConfig", "PRESETS"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# annotation text (annotations are postponed here, so ``Field.type`` is a
+# string) -> (accepts the value, what the error message says is expected)
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "list[int]": (lambda v: isinstance(v, list) and all(_is_int(s) for s in v), "a list of integers"),
+}
 
 
 @dataclass
@@ -25,18 +47,10 @@ class ExperimentConfig:
     width_divisor: int = 1
     activation: str = "relu"
     num_classes: int = 100
-    dropout_p: float = 0.5
     # data
     data_dir: str | None = None
     train_per_class: int | None = None  # None = full split
     test_per_class: int | None = None
-    # optimizer
-    lr: float = 1e-3
-    weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decay_activation_params: bool = True
     # run
     epochs: int = 30
     batch_size: int = 128
@@ -46,19 +60,23 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            accepts, expected = _TYPE_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
         ActivationKind.parse(self.activation)  # fail fast on typos
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"precision must be float32 or float64, got {self.precision!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        try:
-            self.seeds = [int(s) for s in self.seeds]
-        except (TypeError, ValueError):
-            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}") from None
+        for name in ("num_classes", "batch_size", "probe_batch", "train_per_class", "test_per_class"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must list at least one seed and none twice, got {self.seeds}")
+        self.model_config().scaled_channels()  # depth and width_divisor
 
     def model_config(self) -> PlainNetConfig:
         return PlainNetConfig(
@@ -66,7 +84,6 @@ class ExperimentConfig:
             width_divisor=self.width_divisor,
             activation=ActivationKind.parse(self.activation),
             num_classes=self.num_classes,
-            dropout_p=self.dropout_p,
         )
 
     def to_dict(self) -> dict:
@@ -74,13 +91,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config field(s): {sorted(unknown)}")
         got_version = d.get("schema_version", SCHEMA_VERSION)
         if got_version != SCHEMA_VERSION:
-            raise ValueError(f"config schema_version {got_version} unsupported, expected {SCHEMA_VERSION}")
+            raise ValueError(f"config schema_version {got_version!r} unsupported, expected {SCHEMA_VERSION}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config field(s): {sorted(unknown)}")
         return cls(**d)
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "write_cifar_records",
     "load_cifar100",
     "ensure_channel_stats",
-    "save_dataset",
     "subset",
     "batches",
     "write_synthetic_cifar100",
@@ -56,20 +55,14 @@ PUBLIC_SOURCE = "https://www.cs.toronto.edu/~kriz/cifar.html (CIFAR-100 binary v
 
 @dataclass
 class Dataset:
-    """In-memory split: images as float32 [N,3,32,32], integer labels."""
+    """In-memory split: standardized float32 images [N,3,32,32] and their
+    int64 fine labels."""
 
     images: np.ndarray
     fine_labels: np.ndarray
-    split: str
-    coarse_labels: np.ndarray | None = None
-    normalized: bool = False
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.fine_labels.max()) + 1 if len(self) else 0
 
 
 @contextmanager
@@ -164,35 +157,18 @@ def ensure_channel_stats(data_dir) -> dict:
     return stats
 
 
-def load_cifar100(data_dir, split: str, normalize: bool = True) -> Dataset:
-    """Load one split. ``normalize`` standardizes per channel with train
-    statistics; with normalize=False pixels stay in [0, 1]."""
+def load_cifar100(data_dir, split: str) -> Dataset:
+    """Load one split, pixels mapped to x/255 and then standardized per
+    channel with the train split's statistics."""
     if split not in SPLIT_FILES:
         raise ValueError(f"split must be one of {sorted(SPLIT_FILES)}, got {split!r}")
     data_dir = Path(data_dir)
-    coarse, fine, pixels = read_cifar_records(data_dir / SPLIT_FILES[split])
+    _, fine, pixels = read_cifar_records(data_dir / SPLIT_FILES[split])
     images = pixels.astype(np.float32) / np.float32(255.0)
-    if normalize:
-        stats = ensure_channel_stats(data_dir)
-        mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
-        std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-        images = (images - mean) / std
-    return Dataset(
-        images=images,
-        fine_labels=fine.astype(np.int64),
-        split=split,
-        coarse_labels=coarse,
-        normalized=normalize,
-    )
-
-
-def save_dataset(ds: Dataset, path):
-    """Re-serialize an unnormalized dataset to the binary record layout."""
-    if ds.normalized:
-        raise ValueError("cannot serialize a standardized dataset; load with normalize=False")
-    pixels = np.rint(ds.images * np.float32(255.0)).astype(np.uint8)
-    coarse = ds.coarse_labels if ds.coarse_labels is not None else np.zeros(len(ds), dtype=np.uint8)
-    write_cifar_records(path, coarse.astype(np.uint8), ds.fine_labels.astype(np.uint8), pixels)
+    stats = ensure_channel_stats(data_dir)
+    mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
+    std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
+    return Dataset(images=(images - mean) / std, fine_labels=fine.astype(np.int64))
 
 
 def default_data_dir(cli_value=None):
@@ -216,13 +192,7 @@ def subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
             raise ValueError(f"class {int(k)} has only {idx.size} samples, need {per_class}")
         picks.append(rng.permutation(idx)[:per_class])
     sel = np.concatenate(picks)
-    return Dataset(
-        images=ds.images[sel],
-        fine_labels=ds.fine_labels[sel],
-        split=ds.split,
-        coarse_labels=None if ds.coarse_labels is None else ds.coarse_labels[sel],
-        normalized=ds.normalized,
-    )
+    return Dataset(images=ds.images[sel], fine_labels=ds.fine_labels[sel])
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 A PlainNet is a pure sequence of 3x3 same-padding convolutions, per-conv
 activations, five 2x2 max pools, then a two-layer fully connected head
-(Linear -> ReLU -> Dropout -> Linear). There is no normalization layer
-and no skip junction anywhere, by construction; :func:`audit` walks a
-built model and certifies that.
+(Linear -> ReLU -> Dropout at rate ``DROPOUT_P`` -> Linear). There is
+no normalization layer and no skip junction anywhere, by construction;
+:func:`audit` walks a built model and certifies that.
 
 Depth 16 is the canonical configuration: conv channels
 [64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512] with
@@ -32,6 +32,7 @@ __all__ = [
     "INPUT_CHANNELS",
     "INPUT_SIZE",
     "DEPTH_LAYOUTS",
+    "DROPOUT_P",
     "PlainNetConfig",
     "PlainNet",
     "ParamCountReport",
@@ -59,6 +60,7 @@ DEPTH_LAYOUTS: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {
 }
 
 HEAD_WIDTH = 512
+DROPOUT_P = 0.5  # the head's dropout rate in training
 
 
 @dataclass
@@ -71,7 +73,6 @@ class PlainNetConfig:
     width_divisor: int = 1
     activation: ActivationKind = ActivationKind.RELU
     num_classes: int = 100
-    dropout_p: float = 0.5
 
     def __post_init__(self):
         if isinstance(self.activation, str):
@@ -133,7 +134,6 @@ class FlattenLayer:
 @dataclass
 class DropoutLayer:
     name: str
-    p: float
     kind: str = field(default="dropout", init=False)
 
 
@@ -141,10 +141,9 @@ ALLOWED_LAYER_KINDS = {"conv", "linear", "activation", "maxpool", "flatten", "dr
 
 
 class PlainNet:
-    """A built model: an ordered flat list of layers plus its config."""
+    """A built model: an ordered flat list of layers."""
 
-    def __init__(self, config: PlainNetConfig, layers: list, dtype):
-        self.config = config
+    def __init__(self, layers: list, dtype):
         self.layers = layers
         self.dtype = np.dtype(dtype)
 
@@ -197,7 +196,7 @@ class PlainNet:
             elif layer.kind == "flatten":
                 h = reshape(h, (h.shape[0], -1))
             elif layer.kind == "dropout":
-                h = dropout(h, layer.p, training=training, rng=rng)
+                h = dropout(h, DROPOUT_P, training=training, rng=rng)
             else:  # pragma: no cover - construction never produces this
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         if probe is not None:
@@ -252,7 +251,7 @@ def build(config: PlainNetConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE)
         LinearLayer("fc1", weight=_uniform_fan_in(rng, (hw, hw), hw, dtype), bias=_uniform_fan_in(rng, (hw,), hw, dtype))
     )
     layers.append(ActivationSite("act_fc1", ActivationKind.RELU, None))
-    layers.append(DropoutLayer("drop_fc1", config.dropout_p))
+    layers.append(DropoutLayer("drop_fc1"))
     layers.append(
         LinearLayer(
             "fc2",
@@ -260,7 +259,7 @@ def build(config: PlainNetConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE)
             bias=_uniform_fan_in(rng, (config.num_classes,), hw, dtype),
         )
     )
-    return PlainNet(config, layers, dtype)
+    return PlainNet(layers, dtype)
 
 
 @dataclass

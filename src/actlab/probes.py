@@ -157,18 +157,18 @@ def drift_experiment(
     samples: int = 4096,
     input_dist: str = "normal",
     center: str = "default",
-    beta: float = 1.0,
     anchor_tol: float = 1e-9,
 ) -> DriftReport:
     """Activation mean and std at every depth position of a fresh stack.
 
     ``center="oracle"`` applies only to zcswish and re-anchors every site
-    on its own pre-activation sample; ``center="default"`` uses the
-    initial parameter triple everywhere.
+    on its own pre-activation sample, at beta = g = 1; ``center="default"``
+    uses the initial parameter triple everywhere.
     """
     kind = ActivationKind.parse(activation) if isinstance(activation, str) else activation
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    for name, value in (("depth", depth), ("width", width), ("samples", samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if center not in ("default", "oracle"):
         raise ValueError(f"center must be 'default' or 'oracle', got {center!r}")
     if center == "oracle" and kind is not ActivationKind.ZCSWISH:
@@ -192,9 +192,9 @@ def drift_experiment(
         w = rng.uniform(-bound, bound, size=(width, width))
         pre = x @ w.T
         if center == "oracle":
-            res = find_centering_anchor(pre.ravel(), beta=beta, tol=anchor_tol)
+            res = find_centering_anchor(pre.ravel(), beta=1.0, tol=anchor_tol)
             report.anchors.append(res.c)
-            x = zc_swish_eval(pre, c=res.c, beta=beta, g=1.0)
+            x = zc_swish_eval(pre, c=res.c, beta=1.0, g=1.0)
         else:
             x = activation_eval(kind, pre)
         report.sites.append(

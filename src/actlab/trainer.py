@@ -1,10 +1,12 @@
 """AdamW training loop for the deliberately bare regime.
 
-The recipe is exactly what the config says and nothing more: constant
-learning rate from step one, decoupled weight decay, no gradient
-rescue of any kind. Divergence is data here, so non-finite losses or
-gradients are flagged in the run record and logged, and the run keeps
-going; only infrastructure errors abort.
+The recipe is fixed in this module, not in the config: AdamW at the
+constant learning rate ``LR`` from step one, betas ``BETA1``/``BETA2``,
+``EPS``, and decoupled weight decay ``WEIGHT_DECAY`` on every parameter,
+the zc_swish triples included, with no gradient rescue of any kind.
+Divergence is data here, so non-finite losses or gradients are flagged
+in the run record and logged, and the run keeps going; only
+infrastructure errors abort.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from actlab.probes import grad_norm, layer_stats
 from actlab.tensor import Tape, Tensor, softmax_cross_entropy
 
 __all__ = [
+    "LR",
+    "WEIGHT_DECAY",
+    "BETA1",
+    "BETA2",
+    "EPS",
     "AdamW",
     "EpochRecord",
     "StepRecord",
@@ -36,68 +43,51 @@ log = logging.getLogger(__name__)
 # fixed sub-stream ids so every consumer of randomness has its own lane
 RNG_INIT, RNG_DROPOUT, RNG_PROBE = 0, 1, 2
 
+# the AdamW recipe every run uses
+LR = 1e-3
+WEIGHT_DECAY = 5e-4
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
 
 class AdamW:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay, at the module's fixed recipe.
 
     Moments update from the gradient as usual; the decay step
-    ``p -= lr * wd * p`` is applied separately and never flows through
-    the moments. Parameters whose ``grad`` is None (never touched by the
-    backward pass) are skipped entirely, decay included.
+    ``p -= LR * WEIGHT_DECAY * p`` is applied separately and never flows
+    through the moments. Parameters whose ``grad`` is None (never touched
+    by the backward pass) are skipped entirely, decay included.
     """
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, Tensor]],
-        lr: float = 1e-3,
-        weight_decay: float = 5e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        decay_activation_params: bool = True,
-    ):
-        self.named_params = list(named_params)
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.decay_activation_params = decay_activation_params
+    def __init__(self, params: list[Tensor]):
+        self.params = list(params)
         self.step_count = 0
-        self._m = [np.zeros_like(t.data) for _, t in self.named_params]
-        self._v = [np.zeros_like(t.data) for _, t in self.named_params]
-
-    def _decays(self, name: str) -> bool:
-        if self.weight_decay == 0.0:
-            return False
-        if not self.decay_activation_params and name.startswith("act"):
-            return False
-        return True
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> bool:
         """Apply one update. Returns True if any consumed gradient was
         non-finite (the update is applied regardless)."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         saw_nonfinite = False
-        for (name, p), m, v in zip(self.named_params, self._m, self._v):
+        for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 continue
             if not np.isfinite(g).all():
                 saw_nonfinite = True
             dt = p.data.dtype.type
-            m *= dt(self.beta1)
-            m += dt(1.0 - self.beta1) * g
-            v *= dt(self.beta2)
-            v += dt(1.0 - self.beta2) * (g * g)
+            m *= dt(BETA1)
+            m += dt(1.0 - BETA1) * g
+            v *= dt(BETA2)
+            v += dt(1.0 - BETA2) * (g * g)
             m_hat = m / dt(bc1)
             v_hat = v / dt(bc2)
-            p.data -= dt(self.lr) * m_hat / (np.sqrt(v_hat) + dt(self.eps))
-            if self._decays(name):
-                p.data -= dt(self.lr) * dt(self.weight_decay) * p.data
+            p.data -= dt(LR) * m_hat / (np.sqrt(v_hat) + dt(EPS))
+            p.data -= dt(LR) * dt(WEIGHT_DECAY) * p.data
         return saw_nonfinite
 
 
@@ -203,15 +193,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     probe_images = train_ds.images[probe_idx].astype(dtype, copy=False)
     probe_labels = train_ds.fine_labels[probe_idx]
 
-    opt = AdamW(
-        model.named_parameters(),
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        decay_activation_params=config.decay_activation_params,
-    )
+    opt = AdamW(model.parameters())
     record = RunRecord(
         seed=seed,
         param_total=report.total,

@@ -58,7 +58,8 @@ class TestTrainCommand:
             assert (out / "seed_42" / fname).exists()
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["activation"] == "zcswish"
-        assert cfg["schema_version"] == 1
+        assert cfg["schema_version"] == 2
+        assert not {"lr", "weight_decay", "beta1", "beta2", "eps", "decay_activation_params", "dropout_p"} & set(cfg)
 
     def test_epochs_zero_is_chance_level_eval(self, data_dir, tmp_path):
         out = tmp_path / "run0"
@@ -114,6 +115,50 @@ class TestTrainCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "seeds" in err and "'x'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad, flags, field",
+        [
+            ({"seeds": "42"}, [], "seeds"),
+            ({"seeds": ["1", "2"]}, [], "seeds"),
+            ({"epochs": "5"}, [], "epochs"),
+            ({"epochs": 2.5}, [], "epochs"),
+            ({"epochs": True}, [], "epochs"),
+            ({"batch_size": "8"}, [], "batch_size"),
+            ({"depth": 12}, [], "depth"),
+            ({}, ["--width-divisor", "7"], "width_divisor"),
+            ({}, ["--per-class", "0"], "train_per_class"),
+            ({"probe_batch": 0}, [], "probe_batch"),
+        ],
+    )
+    def test_invalid_config_value_nonzero_exit_naming_field(self, data_dir, tmp_path, capsys, bad, flags, field):
+        cfg = {"num_classes": 10, "probe_batch": 16, "depth": 8, "width_divisor": 8, "epochs": 1, "batch_size": 16}
+        cfg.update(bad)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "runbad"
+        rc = run_cli("train", "--data-dir", data_dir, "--config", cfg_path, "--per-class", "4", "--out", out, *flags)
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schema_v1_config_refused_naming_schema_version(self, data_dir, tmp_path, capsys):
+        # a config.json as schema version 1 wrote it: the recipe's seven
+        # fields were still config fields then
+        v1 = {
+            "schema_version": 1, "depth": 8, "width_divisor": 8, "activation": "relu", "num_classes": 10,
+            "dropout_p": 0.5, "data_dir": str(data_dir), "train_per_class": 4, "test_per_class": 4,
+            "lr": 0.001, "weight_decay": 0.0005, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08,
+            "decay_activation_params": True, "epochs": 1, "batch_size": 16, "seeds": [42],
+            "probe_batch": 16, "precision": "float32", "out_dir": None,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(v1, indent=2, sort_keys=True) + "\n")
+        out = tmp_path / "runv1"
+        rc = run_cli("train", "--config", cfg_path, "--out", out)
+        assert rc == 1
+        assert "schema_version" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_data_dir_nonzero_exit(self, tmp_path, monkeypatch, capsys):
@@ -179,6 +224,13 @@ class TestCurvesCommand:
             assert b05 == pytest.approx(float(zc_swish_eval(np.float64(x), c=0.01, beta=0.5, g=1.0)), rel=1e-12)
             assert b2 == pytest.approx(float(zc_swish_eval(np.float64(x), c=0.01, beta=2.0, g=1.0)), rel=1e-12)
 
+    def test_unparsable_sweep_value_names_the_flag(self, tmp_path, capsys):
+        rc = run_cli("curves", "--out", tmp_path / "c", "--c-values", "1,x")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--c-values" in err and "'x'" in err
+        assert not (tmp_path / "c").exists()
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         rc = run_cli("curves", "--out", tmp_path, "--points", "0")
         assert rc == 1
@@ -237,6 +289,12 @@ class TestParamsCommand:
         assert run_cli("params", "--depth", "16", "--activation", "zcswish", "--expect", "15041316:12672") == 0
         assert run_cli("params", "--depth", "16", "--activation", "zcswish", "--expect", "15041316:12673") == 1
         assert run_cli("params", "--depth", "16", "--activation", "relu", "--expect", "1") == 1
+
+    def test_unparsable_expect_names_the_flag(self, capsys):
+        assert run_cli("params", "--depth", "8", "--expect", "abc") == 1
+        captured = capsys.readouterr()
+        assert "--expect" in captured.err and "'abc'" in captured.err
+        assert captured.out == ""  # refused before any table is printed
 
     def test_width_divisor_matches_closed_form(self, capsys):
         from test_plainnet import closed_form_count

@@ -15,7 +15,7 @@ from actlab.data import (
     batches,
     ensure_channel_stats,
     load_cifar100,
-    save_dataset,
+    read_cifar_records,
     subset,
     write_cifar_records,
     write_synthetic_cifar100,
@@ -36,17 +36,27 @@ def fixture_dir(tmp_path):
     return tmp_path, coarse, fine, pixels
 
 
+def unit_pixels(data_dir, split):
+    """A split's pixels as x/255 in float32, before standardization."""
+    _, fine, pixels = read_cifar_records(data_dir / f"{split}.bin")
+    return pixels.astype(np.float32) / np.float32(255.0), fine
+
+
 class TestLoader:
     def test_exact_tensors_and_labels_from_fixture(self, fixture_dir):
         d, coarse, fine, pixels = fixture_dir
-        ds = load_cifar100(d, "train", normalize=False)
-        assert len(ds) == 2
+        got_coarse, got_fine, got_pixels = read_cifar_records(d / "train.bin")
+        for got, want in ((got_coarse, coarse), (got_fine, fine), (got_pixels, pixels)):
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+        ds = load_cifar100(d, "train")
+        assert len(ds) == 2 and ds.images.dtype == np.float32
         np.testing.assert_array_equal(ds.fine_labels, fine)
-        np.testing.assert_array_equal(ds.coarse_labels, coarse)
-        assert ds.images.dtype == np.float32
-        assert ds.images[0, 0, 0, 0] == 1.0  # byte 255 -> exactly 1.0
-        np.testing.assert_allclose(ds.images[0, 1, 3, 4], 128 / 255, rtol=1e-7)
-        assert ds.images[1, 2, 31, 31] == np.float32(1.0 / 255.0)
+        assert ds.fine_labels.dtype == np.int64
+        x, _ = unit_pixels(d, "train")
+        assert x[0, 0, 0, 0] == 1.0  # byte 255 -> exactly 1.0
+        np.testing.assert_allclose(x[0, 1, 3, 4], 128 / 255, rtol=1e-7)
+        assert x[1, 2, 31, 31] == np.float32(1.0 / 255.0)
 
     def test_missing_file_names_path_and_source(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="cs.toronto.edu"):
@@ -55,7 +65,7 @@ class TestLoader:
     def test_wrong_length_reports_byte_counts(self, tmp_path):
         (tmp_path / "train.bin").write_bytes(b"\x00" * (RECORD_BYTES + 5))
         with pytest.raises(ValueError, match=str(RECORD_BYTES + 5)):
-            load_cifar100(tmp_path, "train", normalize=False)
+            load_cifar100(tmp_path, "train")
 
     def test_unknown_split_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="split"):
@@ -63,16 +73,9 @@ class TestLoader:
 
     def test_roundtrip_is_byte_identical(self, fixture_dir, tmp_path):
         d, *_ = fixture_dir
-        ds = load_cifar100(d, "train", normalize=False)
         out = tmp_path / "resaved.bin"
-        save_dataset(ds, out)
+        write_cifar_records(out, *read_cifar_records(d / "train.bin"))
         assert out.read_bytes() == (d / "train.bin").read_bytes()
-
-    def test_normalized_dataset_refuses_serialization(self, tmp_path):
-        write_synthetic_cifar100(tmp_path, 2, 1, num_classes=4, seed=0)
-        ds = load_cifar100(tmp_path, "train")
-        with pytest.raises(ValueError, match="normalize=False"):
-            save_dataset(ds, tmp_path / "x.bin")
 
 
 class TestAtomicWrite:
@@ -136,11 +139,11 @@ class TestStandardization:
     def test_test_split_uses_train_statistics(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 4, 4, num_classes=10, seed=2)
         stats = ensure_channel_stats(tmp_path)
-        test_raw = load_cifar100(tmp_path, "test", normalize=False)
+        test_raw, _ = unit_pixels(tmp_path, "test")
         test_norm = load_cifar100(tmp_path, "test")
         mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
         std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-        np.testing.assert_allclose(test_norm.images, (test_raw.images - mean) / std, rtol=1e-6)
+        np.testing.assert_allclose(test_norm.images, (test_raw - mean) / std, rtol=1e-6)
 
 
 class TestSubset:
@@ -150,7 +153,6 @@ class TestSubset:
         return Dataset(
             images=rng.standard_normal((n, 3, 32, 32)).astype(np.float32),
             fine_labels=np.repeat(np.arange(classes), per_class).astype(np.int64),
-            split="train",
         )
 
     def test_balanced_counts(self):
@@ -186,7 +188,6 @@ class TestBatches:
         return Dataset(
             images=np.arange(n, dtype=np.float32).reshape(n, 1, 1, 1) * np.ones((n, 3, 32, 32), dtype=np.float32),
             fine_labels=np.arange(n, dtype=np.int64),
-            split="train",
         )
 
     def test_batch_sizes_with_short_tail(self):
@@ -216,7 +217,7 @@ class TestSynthetic:
         write_synthetic_cifar100(tmp_path, 3, 2, num_classes=10, seed=0)
         assert (tmp_path / "train.bin").stat().st_size == 30 * RECORD_BYTES
         assert (tmp_path / "test.bin").stat().st_size == 20 * RECORD_BYTES
-        train = load_cifar100(tmp_path, "train", normalize=False)
+        train = load_cifar100(tmp_path, "train")
         _, counts = np.unique(train.fine_labels, return_counts=True)
         assert np.all(counts == 3)
 
@@ -228,10 +229,10 @@ class TestSynthetic:
     def test_classes_are_separable_by_prototype_distance(self, tmp_path):
         # nearest class prototype (computed from train) classifies test well
         write_synthetic_cifar100(tmp_path, 20, 5, num_classes=8, seed=4)
-        train = load_cifar100(tmp_path, "train", normalize=False)
-        test = load_cifar100(tmp_path, "test", normalize=False)
-        protos = np.stack([train.images[train.fine_labels == k].mean(axis=0) for k in range(8)])
-        flat = test.images.reshape(len(test), -1)
+        train, train_labels = unit_pixels(tmp_path, "train")
+        test, test_labels = unit_pixels(tmp_path, "test")
+        protos = np.stack([train[train_labels == k].mean(axis=0) for k in range(8)])
+        flat = test.reshape(len(test), -1)
         dists = ((flat[:, None, :] - protos.reshape(8, -1)[None]) ** 2).sum(axis=2)
-        acc = (dists.argmin(axis=1) == test.fine_labels).mean()
+        acc = (dists.argmin(axis=1) == test_labels).mean()
         assert acc > 0.9

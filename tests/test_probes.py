@@ -159,6 +159,10 @@ class TestDriftExperiment:
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="depth"):
             drift_experiment("swish", depth=0)
+        with pytest.raises(ValueError, match="width must be >= 1, got 0"):
+            drift_experiment("swish", depth=1, width=0)
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            drift_experiment("swish", depth=1, samples=0)
         with pytest.raises(ValueError, match="center"):
             drift_experiment("swish", depth=1, center="magic")
         with pytest.raises(ValueError, match="oracle centering"):

@@ -10,7 +10,7 @@ import actlab.trainer as trainer_module
 from actlab.cli import _write_csv, _write_json
 from actlab.config import PRESETS, ExperimentConfig
 from actlab.data import Dataset
-from actlab.plainnet import PlainNetConfig, build
+from actlab.plainnet import DROPOUT_P, PlainNetConfig, build
 from actlab.tensor import Tensor
 from actlab.trainer import (
     AdamW,
@@ -23,70 +23,62 @@ from actlab.trainer import (
 )
 
 
-def make_param(value, name="w", dtype=np.float64):
-    t = Tensor(np.asarray(value, dtype=dtype), requires_grad=True)
-    return name, t
+def make_param(value, dtype=np.float64):
+    return Tensor(np.asarray(value, dtype=dtype), requires_grad=True)
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_leaves_params(self):
-        name, p = make_param([1.0, -2.0])
-        opt = AdamW([(name, p)], lr=1e-3, weight_decay=0.0)
+        # a zero parameter with a zero gradient: no moment step, and the
+        # decay of zero is zero
+        p = make_param([0.0, 0.0])
+        opt = AdamW([p])
         p.grad = np.zeros_like(p.data)
         opt.step()
-        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        np.testing.assert_array_equal(p.data, [0.0, 0.0])
 
     def test_single_step_closed_form(self):
-        # theta=1, grad=1, lr=1e-3, wd=0: m_hat = v_hat = 1, so
-        # theta' = 1 - 1e-3 / (1 + eps)
-        name, p = make_param([1.0])
-        opt = AdamW([(name, p)], lr=1e-3, weight_decay=0.0)
+        # theta=1, grad=1: m_hat = v_hat = 1, so the moment step gives
+        # 1 - LR / (1 + EPS), which decay then shrinks by LR * WEIGHT_DECAY
+        p = make_param([1.0])
+        opt = AdamW([p])
         p.grad = np.array([1.0])
         opt.step()
-        np.testing.assert_allclose(p.data, 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8)), rtol=1e-12)
-        assert abs(p.data[0] - 0.999) < 1e-7
+        after_moments = 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8))
+        np.testing.assert_allclose(p.data, after_moments * (1.0 - 1e-3 * 5e-4), rtol=1e-12)
+        assert abs(p.data[0] - 0.999 * (1.0 - 5e-7)) < 1e-7
 
     def test_decoupled_decay_acts_alone_on_zero_grad(self):
-        name, p = make_param([1.0])
-        opt = AdamW([(name, p)], lr=1e-3, weight_decay=5e-4)
+        p = make_param([1.0])
+        opt = AdamW([p])
         p.grad = np.zeros(1)
         opt.step()
         np.testing.assert_allclose(p.data, 1.0 - 1e-3 * 5e-4, rtol=1e-15)
 
     def test_decay_identity_over_many_steps(self):
         # with zero gradients, N steps shrink theta exactly like the
-        # scalar recurrence theta <- theta - lr*wd*theta
-        name, p = make_param([1.0, 0.5, -3.0])
-        lr, wd, n = 1e-2, 3e-3, 50
-        opt = AdamW([(name, p)], lr=lr, weight_decay=wd)
+        # scalar recurrence theta <- theta - LR*WEIGHT_DECAY*theta
+        p = make_param([1.0, 0.5, -3.0])
+        opt = AdamW([p])
         expected = np.array([1.0, 0.5, -3.0])
-        for _ in range(n):
+        for _ in range(50):
             p.grad = np.zeros(3)
             opt.step()
-            expected = expected - lr * wd * expected
+            expected = expected - trainer_module.LR * trainer_module.WEIGHT_DECAY * expected
         np.testing.assert_array_equal(p.data, expected)
 
     def test_none_grad_skips_param_entirely(self):
-        (n1, a), (n2, b) = make_param([1.0], "w"), make_param([1.0], "v")
-        opt = AdamW([(n1, a), (n2, b)], lr=1e-3, weight_decay=5e-4)
+        a, b = make_param([1.0]), make_param([1.0])
+        opt = AdamW([a, b])
         a.grad = np.array([0.5])
         b.grad = None
         opt.step()
         assert a.data[0] != 1.0
         assert b.data[0] == 1.0  # untouched, no decay either
 
-    def test_activation_params_excluded_when_flagged(self):
-        (n1, w), (n2, c) = make_param([1.0], "conv1.weight"), make_param([1.0], "act1.c")
-        opt = AdamW([(n1, w), (n2, c)], lr=1e-3, weight_decay=5e-4, decay_activation_params=False)
-        w.grad = np.zeros(1)
-        c.grad = np.zeros(1)
-        opt.step()
-        assert w.data[0] == 1.0 - 1e-3 * 5e-4
-        assert c.data[0] == 1.0
-
     def test_nonfinite_gradient_flagged_but_step_applied(self):
-        name, p = make_param([1.0])
-        opt = AdamW([(name, p)], lr=1e-3, weight_decay=0.0)
+        p = make_param([1.0])
+        opt = AdamW([p])
         p.grad = np.array([np.nan])
         flagged = opt.step()
         assert flagged
@@ -101,7 +93,7 @@ def tiny_dataset(n_per_class=6, classes=4, seed=0, size_from_labels=True):
     # plant a strong class signature so the net has something to learn
     for k in range(classes):
         images[labels == k, k % 3, :8, :8] += 3.0
-    return Dataset(images=images, fine_labels=labels, split="train")
+    return Dataset(images=images, fine_labels=labels)
 
 
 def tiny_config(**kw):
@@ -126,7 +118,6 @@ class TestEvaluate:
         ds = Dataset(
             images=rng.standard_normal((400, 3, 32, 32)).astype(np.float32),
             fine_labels=rng.integers(0, 100, 400).astype(np.int64),
-            split="test",
         )
         loss, acc = evaluate(model, ds)
         assert abs(acc - 0.01) < 0.03
@@ -140,7 +131,7 @@ class TestEvaluate:
             p.data[:] = 0.0
         fc2 = [l for l in model.layers if l.name == "fc2"][0]
         fc2.bias.data[:] = [1e4, 0.0, 0.0, 0.0]
-        _, acc = evaluate(model, Dataset(images=ds.images, fine_labels=np.zeros(len(ds), dtype=np.int64), split="t"))
+        _, acc = evaluate(model, Dataset(images=ds.images, fine_labels=np.zeros(len(ds), dtype=np.int64)))
         assert acc == 1.0
 
     def test_hand_built_fixture_accuracy_two_thirds(self):
@@ -153,7 +144,6 @@ class TestEvaluate:
         ds = Dataset(
             images=rng.standard_normal((3, 3, 32, 32)).astype(np.float32),
             fine_labels=np.array([0, 0, 2], dtype=np.int64),
-            split="t",
         )
         _, acc = evaluate(model, ds)
         assert acc == pytest.approx(2.0 / 3.0)
@@ -163,7 +153,7 @@ class TestEvaluate:
         for p in model.parameters():
             p.data[:] = 0.0  # all logits identical
         ds = tiny_dataset(classes=3)
-        _, acc = evaluate(model, Dataset(images=ds.images[:9], fine_labels=np.zeros(9, dtype=np.int64), split="t"))
+        _, acc = evaluate(model, Dataset(images=ds.images[:9], fine_labels=np.zeros(9, dtype=np.int64)))
         assert acc == 1.0
 
 
@@ -189,13 +179,12 @@ class TestTrain:
         from actlab.activations import ZCSwishParams
 
         triple = ZCSwishParams.initial(4, dtype=np.float64)
-        named = [("act1.c", triple.c), ("act1.beta_raw", triple.beta_raw), ("act1.g", triple.g)]
-        before = [t.data.copy() for _, t in named]
-        opt = AdamW(named, lr=1e-3, weight_decay=5e-4, decay_activation_params=True)
+        before = [t.data.copy() for t in triple.tensors()]
+        opt = AdamW(triple.tensors())
         for _ in range(3):
             opt.step()  # grads are all None
-        for (name, t), orig in zip(named, before):
-            np.testing.assert_array_equal(t.data, orig, err_msg=name)
+        for t, orig in zip(triple.tensors(), before):
+            np.testing.assert_array_equal(t.data, orig)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN propagates, never repaired
     def test_nan_injection_is_flagged_never_fatal(self, monkeypatch):
@@ -204,7 +193,7 @@ class TestTrain:
         real_step = AdamW.step
 
         def poisoned_step(self):
-            for _, p in self.named_params:
+            for p in self.params:
                 if p.grad is not None:
                     p.grad[...] = np.nan
                     break
@@ -291,14 +280,20 @@ class TestBareRegimeAudit:
             assert not any(word in f for f in field_names)
 
     def test_learning_rate_is_constant_across_steps(self):
-        name, p = make_param(np.ones(4))
-        opt = AdamW([(name, p)], lr=1e-3)
-        lrs = []
-        for _ in range(5):
+        # Under a constant unit gradient, m_hat = v_hat = 1 at every step,
+        # so each step moves theta by rate / (1 + EPS) and then decays it
+        # by rate * WEIGHT_DECAY. Undo the decay and read the rate back
+        # from the parameter itself: it must be LR at every step.
+        p = make_param(np.full(4, 3.0))
+        opt = AdamW([p])
+        rates = []
+        for _ in range(25):
+            before = p.data.copy()
             p.grad = np.ones(4)
             opt.step()
-            lrs.append(opt.lr)
-        assert lrs == [1e-3] * 5
+            after_moments = p.data / (1.0 - 1e-3 * 5e-4)
+            rates.append((before - after_moments) * (1.0 + 1e-8))
+        np.testing.assert_allclose(np.array(rates), 1e-3, rtol=1e-6)
 
     def test_presets_pin_the_documented_recipes(self):
         desk = ExperimentConfig(**PRESETS["desk"]())
@@ -308,9 +303,10 @@ class TestBareRegimeAudit:
         assert (paper.depth, paper.width_divisor, paper.epochs, paper.batch_size) == (16, 1, 30, 128)
         assert paper.seeds == [42, 0, 12345]
         assert paper.train_per_class is None
-        # both inherit the fixed optimizer settings
-        for cfg in (desk, paper):
-            assert (cfg.lr, cfg.weight_decay) == (1e-3, 5e-4)
+        # both train with the one recipe fixed in code
+        R = trainer_module
+        assert (R.LR, R.WEIGHT_DECAY, R.BETA1, R.BETA2, R.EPS) == (1e-3, 5e-4, 0.9, 0.999, 1e-8)
+        assert DROPOUT_P == 0.5
 
 
 class TestExperimentConfig:
@@ -332,3 +328,9 @@ class TestExperimentConfig:
             ExperimentConfig(precision="float16")
         with pytest.raises(ValueError, match="epochs"):
             ExperimentConfig(epochs=-1)
+        with pytest.raises(ValueError, match="seeds must be a list of integers"):
+            ExperimentConfig(seeds="42")
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            ExperimentConfig(epochs=True)
+        with pytest.raises(ValueError, match="depth"):
+            ExperimentConfig(depth=12)

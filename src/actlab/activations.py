@@ -225,14 +225,24 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     c = params.c.data.astype(dt, copy=False)
     beta = softplus(params.beta_raw.data.astype(dt, copy=False))
     gain = params.g.data.astype(dt, copy=False)
-    beta_b, gain_b = beta.reshape(view), gain.reshape(view)
-    out, (u, s, q, core) = _zc_swish(d, c.reshape(view), beta_b, gain_b)
-    q = q.reshape(-1)  # per channel
+
+    def tile(p: np.ndarray) -> np.ndarray:
+        # One sample of per-channel values in d's own memory layout, so each
+        # elementwise op's inner loop runs over a whole sample rather than C
+        # elements (for channels-last d). The values, and so the bits, are
+        # those of the (1, C, 1, 1) broadcast.
+        t = np.empty_like(d, shape=(1,) + d.shape[1:])
+        t[...] = p.reshape(view)
+        return t
+
+    beta_t, gain_t = tile(beta), tile(gain)
+    out, (u, s, q, core) = _zc_swish(d, tile(c), beta_t, gain_t)
+    q = q[0] if q.ndim == 2 else q[0, :, 0, 0]  # per channel
     reduce_axes = (0,) if d.ndim == 2 else (0, 2, 3)
 
     def backward_fn(gout: np.ndarray):
         if x.requires_grad:
-            x.grad += gout * gain_b * s * (1.0 + beta_b * u * (1.0 - s))
+            x.grad += gout * gain_t * s * (1.0 + beta_t * u * (1.0 - s))
         need_c = params.c.requires_grad
         need_b = params.beta_raw.requires_grad
         need_g = params.g.requires_grad
@@ -242,11 +252,11 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         gsum = gout.sum(axis=reduce_axes)
         qp = q * (1.0 - q)
         if need_c:
-            main = (gout * gain_b * -(s + beta_b * u * sp)).sum(axis=reduce_axes)
+            main = (gout * gain_t * -(s + beta_t * u * sp)).sum(axis=reduce_axes)
             const = gsum * gain * (q - beta * c * qp)
             params.c.grad += main + const
         if need_b:
-            main = (gout * gain_b * (u * u * sp)).sum(axis=reduce_axes)
+            main = (gout * gain_t * (u * u * sp)).sum(axis=reduce_axes)
             const = gsum * gain * (c * c * qp)
             dbeta = main - const
             params.beta_raw.grad += dbeta * sigmoid(params.beta_raw.data.astype(dt, copy=False))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,10 @@ def cmd_train(args) -> int:
     config.data_dir = str(data_dir)
     train_ds = load_cifar100(data_dir, "train")
     test_ds = load_cifar100(data_dir, "test")
+    for split, ds in (("train", train_ds), ("test", test_ds)):
+        top = int(ds.fine_labels.max(initial=-1))
+        if top >= config.num_classes:
+            raise ValueError(f"the {split} split has label {top}, but num_classes is {config.num_classes}")
     if config.train_per_class is not None:
         train_ds = subset(train_ds, config.train_per_class, seed=config.seeds[0])
     if config.test_per_class is not None:
@@ -364,8 +369,14 @@ def cmd_drift(args) -> int:
 
 def cmd_center_oracle(args) -> int:
     if args.input:
-        sample = np.loadtxt(args.input, dtype=np.float64).ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
+            sample = np.loadtxt(args.input, dtype=np.float64).ravel()
+        if sample.size == 0:
+            raise ValueError(f"--input {args.input} holds no sample values")
     else:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         sample = np.random.default_rng(args.seed).standard_normal(args.samples)
     res = find_centering_anchor(sample, beta=args.beta, tol=args.tol)
     mean_at_zero = float(np.mean(zc_swish_eval(sample, c=0.0, beta=args.beta, g=1.0)))

@@ -87,6 +87,11 @@ def atomic_write(path, mode: str = "w"):
 
 def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw record arrays: (coarse u8 [N], fine u8 [N], pixels u8 [N,3,32,32])."""
+    return _split_records(_read_records(path))
+
+
+def _read_records(path) -> np.ndarray:
+    """The file's bytes as a C-contiguous (N, RECORD_BYTES) uint8 array."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; obtain the dataset from {PUBLIC_SOURCE}")
@@ -97,7 +102,10 @@ def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{path} has {raw.size} bytes, not a multiple of the {RECORD_BYTES}-byte record size "
             f"(nearest whole-record size would be {expected})"
         )
-    records = raw.reshape(-1, RECORD_BYTES)
+    return raw.reshape(-1, RECORD_BYTES)
+
+
+def _split_records(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     coarse = records[:, 0].copy()
     fine = records[:, 1].copy()
     pixels = records[:, 2:].reshape(-1, 3, 32, 32).copy()
@@ -117,12 +125,19 @@ def write_cifar_records(path, coarse: np.ndarray, fine: np.ndarray, pixels: np.n
         records.tofile(f)
 
 
-def _train_identity(path: Path) -> dict:
+def _train_identity(path: Path, records: np.ndarray | None) -> dict:
+    """train.bin's size and sha256, hashed from ``records`` (its bytes as
+    already read) when given, else streamed from the file."""
     digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return {"train_bytes": path.stat().st_size, "train_sha256": digest.hexdigest()}
+    if records is not None:
+        digest.update(records)
+        size = records.nbytes
+    else:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                digest.update(chunk)
+        size = path.stat().st_size
+    return {"train_bytes": size, "train_sha256": digest.hexdigest()}
 
 
 def ensure_channel_stats(data_dir) -> dict:
@@ -133,15 +148,22 @@ def ensure_channel_stats(data_dir) -> dict:
     otherwise the statistics are recomputed and the sidecar is replaced
     atomically.
     """
-    data_dir = Path(data_dir)
+    return _channel_stats(Path(data_dir), None)
+
+
+def _channel_stats(data_dir: Path, train_records: np.ndarray | None) -> dict:
+    """``ensure_channel_stats``, reusing train.bin's bytes when the caller
+    has already read them."""
     train_path = data_dir / SPLIT_FILES["train"]
     sidecar = data_dir / STATS_FILE
-    identity = _train_identity(train_path)
+    identity = _train_identity(train_path, train_records)
     if sidecar.exists():
         stats = json.loads(sidecar.read_text())
         if all(stats.get(k) == v for k, v in identity.items()):
             return stats
-    _, _, pixels = read_cifar_records(train_path)
+    if train_records is None:
+        train_records = _read_records(train_path)
+    _, _, pixels = _split_records(train_records)
     x = pixels.astype(np.float32) / np.float32(255.0)
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
     std = x.std(axis=(0, 2, 3), dtype=np.float64)
@@ -163,9 +185,10 @@ def load_cifar100(data_dir, split: str) -> Dataset:
     if split not in SPLIT_FILES:
         raise ValueError(f"split must be one of {sorted(SPLIT_FILES)}, got {split!r}")
     data_dir = Path(data_dir)
-    _, fine, pixels = read_cifar_records(data_dir / SPLIT_FILES[split])
+    records = _read_records(data_dir / SPLIT_FILES[split])
+    _, fine, pixels = _split_records(records)
     images = pixels.astype(np.float32) / np.float32(255.0)
-    stats = ensure_channel_stats(data_dir)
+    stats = _channel_stats(data_dir, records if split == "train" else None)
     mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
     std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
     return Dataset(images=(images - mean) / std, fine_labels=fine.astype(np.int64))

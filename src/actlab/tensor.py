@@ -11,7 +11,11 @@ Two kernel families exist for conv2d and linear, selected by dtype:
 
 * float32 (the training path): one BLAS GEMM per pass. conv2d builds its
   patch matrix from a channels-last padded input with 9 slice copies and
-  returns a channels-last view of the GEMM result.
+  returns a channels-last view of the GEMM result. The 9 copies, and the 9
+  adds that scatter the patch gradient back, run over chunks of about
+  512 KiB of whole samples, so each chunk stays in cache across its taps;
+  every element still sees the same taps in the same order, so the bits
+  do not depend on the chunk size.
 * float64 (the verification path): fixed-order accumulation whose
   summation order matches a naive nested-loop evaluation bit for bit,
   and whose per-sample results are independent of the rest of the batch.
@@ -251,18 +255,34 @@ def _pad1(x: np.ndarray) -> np.ndarray:
     return xp
 
 
+_CHUNK_BYTES = 512 * 1024  # patch-buffer bytes per im2col / col2im chunk
+
+
+def _sample_chunks(buf: np.ndarray):
+    """``[a, b)`` ranges over ``buf``'s first axis (samples), each about
+    ``_CHUNK_BYTES`` of ``buf``; the last one may be short."""
+    n = buf.shape[0]
+    step = max(1, _CHUNK_BYTES * n // max(buf.nbytes, 1))  # _CHUNK_BYTES // bytes per sample
+    for a in range(0, n, step):
+        yield a, min(a + step, n)
+
+
 def _im2col(xp: np.ndarray, h: int, w: int) -> np.ndarray:
     """(N, H+2, W+2, C) padded input -> C-contiguous (N*H*W, C*9) patch matrix.
 
     Each of the 9 kernel taps is one slice copy into an (N, H, W, C, 3, 3)
     buffer, whose reshape to the matrix is free. Column order is (channel,
     kernel row, kernel col) row-major, matching ``weight.reshape(c_out, -1)``.
+    The copies run chunk by chunk over samples (see ``_sample_chunks``), all
+    9 taps of one chunk while it is still in cache; the bytes are the same
+    as 9 whole-buffer copies.
     """
     n, c = xp.shape[0], xp.shape[3]
     cols = np.empty((n, h, w, c, 3, 3), dtype=xp.dtype)
-    for kh in range(3):
-        for kw in range(3):
-            cols[..., kh, kw] = xp[:, kh : kh + h, kw : kw + w, :]
+    for a, b in _sample_chunks(cols):
+        for kh in range(3):
+            for kw in range(3):
+                cols[a:b, ..., kh, kw] = xp[a:b, kh : kh + h, kw : kw + w, :]
     return cols.reshape(n * h * w, c * 9)
 
 
@@ -309,7 +329,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         out_data = _conv_forward_exact(xp, weight.data, bias.data, h, w)
     else:
         out_data = _im2col(xp, h, w) @ weight.data.reshape(c_out, c_in * 9).T
-        out_data += bias.data
+        # The bias as a one-sample (H*W, C_out) tile, so the add's inner
+        # loop runs over H*W*C_out elements rather than C_out.
+        tile = np.empty((h * w, c_out), dtype=out_data.dtype)
+        tile[...] = bias.data
+        rows = out_data.reshape(n, h * w, c_out)
+        rows += tile
         out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
     out = Tensor(out_data)
 
@@ -322,9 +347,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             gcols = (gmat @ weight.data.reshape(c_out, c_in * 9)).reshape(n, h, w, c_in, 3, 3)
             gxp = np.zeros_like(xp)
-            for kh in range(3):
-                for kw in range(3):
-                    gxp[:, kh : kh + h, kw : kw + w, :] += gcols[..., kh, kw]
+            for a, b in _sample_chunks(gcols):
+                for kh in range(3):
+                    for kw in range(3):
+                        gxp[a:b, kh : kh + h, kw : kw + w, :] += gcols[a:b, ..., kh, kw]
             x.grad += gxp[:, 1 : h + 1, 1 : w + 1, :].transpose(0, 3, 1, 2)
 
     return record_op(out, (x, weight, bias), backward_fn)

@@ -6,8 +6,9 @@ checks. Scalar accumulation order is part of the contract: bias first,
 then contributions in row-major index order, which is what the float64
 kernels in the package promise to match bit for bit. maxpool2_argmax and
 sigmoid_masked are the index-based forms the package's maxpool2 and
-sigmoid replaced; they define the bits those two must keep, and
-conv2d_im2col_nchw does the same for conv2d's GEMM kernel.
+sigmoid replaced; they define the bits those two must keep,
+conv2d_im2col_nchw does the same for conv2d's GEMM kernel, and
+zc_swish_broadcast for the Tensor path of zc_swish.
 """
 
 import numpy as np
@@ -121,6 +122,39 @@ def sigmoid_masked(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def zc_swish_broadcast(x, c, beta_raw, g, gout):
+    """zc_swish's Tensor path as first written, with (1, C) or (1, C, 1, 1)
+    broadcasts of the per-channel parameters, kept as its bit reference.
+    Returns the output and the x, c, beta_raw and g gradients a fresh
+    backward leaves when ``gout`` is added to the output's zero gradient."""
+    dt = x.dtype
+    view = (1, -1) + (1,) * (x.ndim - 2)
+    axes = (0,) + tuple(range(2, x.ndim))
+    beta = np.logaddexp(dt.type(0.0), beta_raw)
+    cb, bb, gb = c.reshape(view), beta.reshape(view), g.reshape(view)
+    u = x - cb
+    s = sigmoid_masked(bb * u)
+    q = sigmoid_masked(-(bb * cb))
+    core = u * s + cb * q
+    out = gb * core
+    q = q.reshape(-1)
+    grad = np.zeros_like(out)  # keeps the output's memory layout, as a tape's grad does
+    grad += gout
+    gx = np.zeros_like(x)
+    gx += grad * gb * s * (1.0 + bb * u * (1.0 - s))
+    sp = s * (1.0 - s)
+    gsum = grad.sum(axis=axes)
+    qp = q * (1.0 - q)
+    gc = np.zeros_like(c)
+    gc += (grad * gb * -(s + bb * u * sp)).sum(axis=axes) + gsum * g * (q - beta * c * qp)
+    gbeta = (grad * gb * (u * u * sp)).sum(axis=axes) - gsum * g * (c * c * qp)
+    gbr = np.zeros_like(beta_raw)
+    gbr += gbeta * sigmoid_masked(beta_raw)
+    gg = np.zeros_like(g)
+    gg += (grad * core).sum(axis=axes)
+    return out, gx, gc, gbr, gg
 
 
 def linear_nested(x, w, b):

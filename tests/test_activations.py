@@ -17,9 +17,9 @@ from actlab.activations import (
     softplus,
     zc_swish_eval,
 )
-from actlab.tensor import ShapeError, Tape, Tensor, gradcheck, tsum
+from actlab.tensor import ShapeError, Tape, Tensor, gradcheck, mul, tsum
 
-from oracles import rel_err, sigmoid_masked
+from oracles import rel_err, sigmoid_masked, zc_swish_broadcast
 
 # softplus(BETA_RAW_FOR_UNIT_SLOPE) == 1 exactly in real arithmetic
 BETA_RAW_FOR_UNIT_SLOPE = 0.5413248546129181
@@ -99,6 +99,38 @@ def test_tensor_and_array_paths_agree_bitwise(kind, dtype):
     ev = activation_eval(kind, x)
     assert op.data.dtype == ev.dtype == dtype
     np.testing.assert_array_equal(op.data, ev)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    c=st.integers(1, 5),
+    spatial=st.sampled_from([None, (1, 1), (2, 3), (4, 4), (7, 5)]),
+    channels_last=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zc_swish_bits_match_broadcast_reference(n, c, spatial, channels_last, dtype, seed):
+    # The Tensor path spreads its parameters over one-sample tiles in x's
+    # layout; output and all four gradients keep the broadcast form's bits.
+    rng = np.random.default_rng(seed)
+    shape = (n, c) if spatial is None else (n, c) + spatial
+    xd = (rng.standard_normal(shape) * 3).astype(dtype)
+    xd.reshape(-1)[rng.random(xd.size) < 0.1] = 0.0
+    if channels_last and spatial is not None:
+        xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    cd, brd, gd = (rng.standard_normal(c).astype(dtype) for _ in range(3))
+    gout = rng.standard_normal(shape).astype(dtype)
+    x = Tensor(xd, requires_grad=True)
+    p = ZCSwishParams(*(Tensor(v.copy(), requires_grad=True) for v in (cd, brd, gd)))
+    with Tape() as tape:
+        out = zc_op(x, p)
+        tape.backward(tsum(mul(out, Tensor(gout))))
+    want = zc_swish_broadcast(xd, cd, brd, gd, gout)
+    assert out.data.strides == want[0].strides
+    for got, ref in zip((out.data, x.grad, p.c.grad, p.beta_raw.grad, p.g.grad), want):
+        assert got.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), ref.view(f"u{ref.itemsize}"))
 
 
 @settings(max_examples=200, deadline=None)

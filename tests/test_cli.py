@@ -161,6 +161,14 @@ class TestTrainCommand:
         assert "schema_version" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_beyond_num_classes_refused_before_run_dir(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "runfewclasses"
+        rc = run_cli(*base_train_args(data_dir, out, num_classes=9))  # the data's labels run to 9
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "num_classes is 9" in err and "label 9" in err
+        assert not out.exists()
+
     def test_missing_data_dir_nonzero_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("ACTLAB_DATA_DIR", raising=False)
         rc = run_cli("train", "--depth", "8", "--out", tmp_path / "x")
@@ -340,6 +348,28 @@ class TestCenterOracleCommand:
         out = capsys.readouterr().out
         assert rc == 3
         assert "converged=False" in out
+
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(cli, "find_centering_anchor", solve)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_refused_naming_the_flag(self, samples, capsys, no_solve):
+        rc = run_cli("center-oracle", "--samples", samples)
+        assert rc == 1
+        assert f"--samples must be at least 1, got {samples}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# no values\n", "\n\n"])
+    def test_empty_input_file_refused_naming_the_path(self, text, tmp_path, capsys, no_solve):
+        sample = tmp_path / "empty.txt"
+        sample.write_text(text)
+        rc = run_cli("center-oracle", "--input", sample)
+        assert rc == 1
+        assert f"--input {sample} holds no sample values" in capsys.readouterr().err
 
 
 def test_byte_identical_outputs_across_reruns(tmp_path):

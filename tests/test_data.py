@@ -1,12 +1,14 @@
 """Loader byte-exactness, standardization, subsetting, batch plans."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import actlab.data as data
 from actlab.data import (
     RECORD_BYTES,
     BatchPlan,
@@ -115,6 +117,21 @@ class TestStandardization:
         mutated["mean"] = [0.5, 0.5, 0.5]
         sidecar.write_text(json.dumps(mutated))
         assert ensure_channel_stats(tmp_path)["mean"] == [0.5, 0.5, 0.5]
+
+    def test_train_split_checks_sidecar_without_reopening_train_bin(self, tmp_path, monkeypatch):
+        write_synthetic_cifar100(tmp_path, 2, 1, num_classes=5, seed=1)
+        ensure_channel_stats(tmp_path)
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", recording_open, raising=False)
+        load_cifar100(tmp_path, "train")
+        assert "train.bin" not in opened
+        load_cifar100(tmp_path, "test")  # the test split still hashes train.bin itself
+        assert opened.count("train.bin") == 1
 
     def test_replaced_train_records_get_fresh_statistics(self, tmp_path):
         rng = np.random.default_rng(0)

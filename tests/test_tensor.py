@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from actlab.tensor import (
+    _CHUNK_BYTES,
     ShapeError,
     Tape,
     Tensor,
@@ -121,6 +122,38 @@ def test_conv2d_bits_match_nchw_im2col_reference(n, c_in, c_out, size, channels_
         tape.backward(tsum(mul(out, Tensor(gd))))
     want_out, want_gx, want_gw, want_gb = conv2d_im2col_nchw(xd, wd, bd, gd)
     assert out.data.strides == want_out.strides
+    np.testing.assert_array_equal(bits(out.data), bits(want_out))
+    np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
+    np.testing.assert_array_equal(bits(w.grad), bits(want_gw))
+    np.testing.assert_array_equal(bits(b.grad), bits(want_gb))
+
+
+@pytest.mark.parametrize(
+    "n, c_in, size, dtype",
+    [
+        (9, 8, 16, np.float32),  # chunks of 7 samples: 7 + 2
+        (8, 8, 16, np.float64),  # chunks of 3: 3 + 3 + 2
+        (9, 2, 32, np.float32),  # chunks of 7: 7 + 2
+        (3, 8, 32, np.float32),  # one sample per chunk
+        (3, 8, 32, np.float64),  # one sample per chunk, each over the chunk size
+    ],
+)
+def test_conv2d_bits_match_nchw_im2col_reference_over_several_chunks(n, c_in, size, dtype):
+    # im2col and col2im run over chunks of whole samples; a batch that spans
+    # several chunks, the last one short, keeps the reference's bits.
+    per_sample = size * size * c_in * 9 * np.dtype(dtype).itemsize
+    step = max(1, _CHUNK_BYTES // per_sample)
+    assert n > step and (n % step or step == 1)
+    rng = np.random.default_rng(n * 1000 + c_in * 10 + size)
+    xd = np.ascontiguousarray(rng.standard_normal((n, size, size, c_in)).astype(dtype)).transpose(0, 3, 1, 2)
+    wd = rng.standard_normal((5, c_in, 3, 3)).astype(dtype)
+    bd = rng.standard_normal(5).astype(dtype)
+    gd = rng.standard_normal((n, 5, size, size)).astype(dtype)
+    x, w, b = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+    with Tape() as tape:
+        out = conv2d(x, w, b)
+        tape.backward(tsum(mul(out, Tensor(gd))))
+    want_out, want_gx, want_gw, want_gb = conv2d_im2col_nchw(xd, wd, bd, gd)
     np.testing.assert_array_equal(bits(out.data), bits(want_out))
     np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
     np.testing.assert_array_equal(bits(w.grad), bits(want_gw))

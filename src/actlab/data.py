@@ -10,7 +10,8 @@ Pixels map byte -> float via x/255. Standardization uses per-channel
 mean/std computed over the train split and cached in a small JSON
 sidecar next to the data files, so the test split is normalized with
 train statistics. The sidecar records train.bin's size and sha256 and
-is recomputed whenever they no longer match. No augmentation of any
+is recomputed whenever they no longer match. A split is decoded once,
+into the float32 array that is then standardized in place. No augmentation of any
 kind is applied here: the training recipes this lab studies are
 deliberately bare, and augmenting would confound them.
 
@@ -51,6 +52,7 @@ SPLIT_FILES = {"train": "train.bin", "test": "test.bin"}
 STATS_FILE = "channel_stats.json"
 DATA_DIR_ENV = "ACTLAB_DATA_DIR"
 PUBLIC_SOURCE = "https://www.cs.toronto.edu/~kriz/cifar.html (CIFAR-100 binary version)"
+_SYNTH_CHUNK = 128  # samples per noise draw in write_synthetic_cifar100
 
 
 @dataclass
@@ -87,7 +89,8 @@ def atomic_write(path, mode: str = "w"):
 
 def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw record arrays: (coarse u8 [N], fine u8 [N], pixels u8 [N,3,32,32])."""
-    return _split_records(_read_records(path))
+    records = _read_records(path)
+    return records[:, 0].copy(), records[:, 1].copy(), _pixel_view(records).copy()
 
 
 def _read_records(path) -> np.ndarray:
@@ -105,11 +108,18 @@ def _read_records(path) -> np.ndarray:
     return raw.reshape(-1, RECORD_BYTES)
 
 
-def _split_records(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    coarse = records[:, 0].copy()
-    fine = records[:, 1].copy()
-    pixels = records[:, 2:].reshape(-1, 3, 32, 32).copy()
-    return coarse, fine, pixels
+def _pixel_view(records: np.ndarray) -> np.ndarray:
+    """The pixel bytes of (N, RECORD_BYTES) records as an [N,3,32,32] view."""
+    return records[:, 2:].reshape(records.shape[0], 3, 32, 32)
+
+
+def _unit_pixels(records: np.ndarray) -> np.ndarray:
+    """The pixels of (N, RECORD_BYTES) records as float32 x/255 [N,3,32,32],
+    decoded straight from the records into one new array."""
+    x = np.empty((records.shape[0], 3, 32, 32), dtype=np.float32)
+    x[...] = _pixel_view(records)
+    x /= np.float32(255.0)
+    return x
 
 
 def write_cifar_records(path, coarse: np.ndarray, fine: np.ndarray, pixels: np.ndarray):
@@ -151,20 +161,17 @@ def ensure_channel_stats(data_dir) -> dict:
     return _channel_stats(Path(data_dir), None)
 
 
-def _channel_stats(data_dir: Path, train_records: np.ndarray | None) -> dict:
-    """``ensure_channel_stats``, reusing train.bin's bytes when the caller
-    has already read them."""
+def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) -> dict:
+    """``ensure_channel_stats``, reusing train.bin's records and their
+    x/255 pixels when the caller has already read and decoded them."""
     train_path = data_dir / SPLIT_FILES["train"]
     sidecar = data_dir / STATS_FILE
-    identity = _train_identity(train_path, train_records)
+    identity = _train_identity(train_path, None if train is None else train[0])
     if sidecar.exists():
         stats = json.loads(sidecar.read_text())
         if all(stats.get(k) == v for k, v in identity.items()):
             return stats
-    if train_records is None:
-        train_records = _read_records(train_path)
-    _, _, pixels = _split_records(train_records)
-    x = pixels.astype(np.float32) / np.float32(255.0)
+    x = _unit_pixels(_read_records(train_path)) if train is None else train[1]
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
     std = x.std(axis=(0, 2, 3), dtype=np.float64)
     stats = {
@@ -181,17 +188,20 @@ def _channel_stats(data_dir: Path, train_records: np.ndarray | None) -> dict:
 
 def load_cifar100(data_dir, split: str) -> Dataset:
     """Load one split, pixels mapped to x/255 and then standardized per
-    channel with the train split's statistics."""
+    channel with the train split's statistics.
+
+    The split is decoded once into one float32 array and standardized in
+    place; loading the train split takes any statistics it must
+    recompute from that same x/255 array."""
     if split not in SPLIT_FILES:
         raise ValueError(f"split must be one of {sorted(SPLIT_FILES)}, got {split!r}")
     data_dir = Path(data_dir)
     records = _read_records(data_dir / SPLIT_FILES[split])
-    _, fine, pixels = _split_records(records)
-    images = pixels.astype(np.float32) / np.float32(255.0)
-    stats = _channel_stats(data_dir, records if split == "train" else None)
-    mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
-    std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-    return Dataset(images=(images - mean) / std, fine_labels=fine.astype(np.int64))
+    images = _unit_pixels(records)
+    stats = _channel_stats(data_dir, (records, images) if split == "train" else None)
+    images -= np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
+    images /= np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
+    return Dataset(images=images, fine_labels=records[:, 1].astype(np.int64))
 
 
 def default_data_dir(cli_value=None):
@@ -263,18 +273,27 @@ def write_synthetic_cifar100(
     for desk-scale runs and CI, where the real dataset is not available.
     The default mix is clean enough that a few hundred optimizer steps
     show real learning even in the deliberately fragile training regime.
+
+    The noise is drawn and mixed in chunks of whole samples from one
+    generator stream, so the files do not depend on the chunk size and
+    no full-size float64 array is ever held.
     """
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    protos = rng.uniform(0.0, 255.0, size=(num_classes, 3, 32, 32))
+    signal = signal_weight * rng.uniform(0.0, 255.0, size=(num_classes, 3, 32, 32))
 
     def make_split(per_class, split_seed):
         srng = np.random.default_rng([seed, split_seed])
         n = per_class * num_classes
         fine = np.repeat(np.arange(num_classes, dtype=np.uint8), per_class)
-        noise = srng.uniform(0.0, 255.0, size=(n, 3, 32, 32))
-        pixels = np.clip(signal_weight * protos[fine] + (1.0 - signal_weight) * noise, 0.0, 255.0).astype(np.uint8)
+        pixels = np.empty((n, 3, 32, 32), dtype=np.uint8)
+        for a in range(0, n, _SYNTH_CHUNK):
+            b = min(a + _SYNTH_CHUNK, n)
+            mix = srng.uniform(0.0, 255.0, size=(b - a, 3, 32, 32))
+            mix *= 1.0 - signal_weight
+            mix += signal[fine[a:b]]
+            pixels[a:b] = np.clip(mix, 0.0, 255.0, out=mix)
         order = srng.permutation(n)
         coarse = (fine // 5).astype(np.uint8)
         return coarse[order], fine[order], pixels[order]

@@ -173,10 +173,12 @@ class PlainNet:
         rng: np.random.Generator | None = None,
         probe: list | None = None,
     ) -> Tensor:
-        """Run the stack. ``probe``, when given, collects
-        (site_name, post-activation array copy) pairs without altering
-        the computation. ``rng`` is only consumed by dropout in training
-        mode."""
+        """Run the stack. ``probe``, when given, collects (site_name,
+        post-activation array) pairs, and ("logits", logits array), without
+        altering the computation. The arrays are the forward outputs
+        themselves, in the op's memory layout (channels-last after a
+        conv), not copies: no op and no backward writes into a forward
+        output. ``rng`` is only consumed by dropout in training mode."""
         if x.ndim != 4 or x.shape[1] != INPUT_CHANNELS or x.shape[2:] != (INPUT_SIZE, INPUT_SIZE):
             raise ShapeError(
                 f"input must be [N,{INPUT_CHANNELS},{INPUT_SIZE},{INPUT_SIZE}], got shape {x.shape}"
@@ -190,7 +192,7 @@ class PlainNet:
             elif layer.kind == "activation":
                 h = apply_activation(h, layer.activation, layer.params)
                 if probe is not None:
-                    probe.append((layer.name, h.data.copy()))
+                    probe.append((layer.name, h.data))
             elif layer.kind == "maxpool":
                 h = maxpool2(h)
             elif layer.kind == "flatten":
@@ -200,7 +202,7 @@ class PlainNet:
             else:  # pragma: no cover - construction never produces this
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         if probe is not None:
-            probe.append(("logits", h.data.copy()))
+            probe.append(("logits", h.data))
         return h
 
     def activation_sites(self) -> list[ActivationSite]:

@@ -176,8 +176,10 @@ def _check(cond: bool, msg: str):
 
 
 def _same_dtype(*tensors: Tensor):
-    dtypes = {t.data.dtype for t in tensors}
-    _check(len(dtypes) == 1, f"operands must share one dtype, got {sorted(str(d) for d in dtypes)}")
+    dtype = tensors[0].data.dtype
+    if any(t.data.dtype != dtype for t in tensors[1:]):
+        dtypes = {t.data.dtype for t in tensors}
+        raise ShapeError(f"operands must share one dtype, got {sorted(str(d) for d in dtypes)}")
 
 
 # ---------------------------------------------------------------------------

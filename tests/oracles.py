@@ -9,7 +9,13 @@ sigmoid_masked are the index-based forms the package's maxpool2 and
 sigmoid replaced; they define the bits those two must keep,
 conv2d_im2col_nchw does the same for conv2d's GEMM kernel, and
 zc_swish_broadcast for the Tensor path of zc_swish.
+synthetic_records_one_shot and standardized_split_reference are the
+one-shot synthetic writer and the loader formula that the chunked writer
+and the decode-once loader must match byte for byte.
 """
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -205,3 +211,54 @@ def rel_err(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
     return float(np.max(np.abs(a - n) / denom))
+
+
+def synthetic_records_one_shot(train_per_class, test_per_class, num_classes, seed, signal_weight=0.85):
+    """The synthetic train and test splits as (N, 3074) uint8 record
+    arrays, every split's noise drawn and mixed in one full-size float64
+    pass."""
+    rng = np.random.default_rng(seed)
+    protos = rng.uniform(0.0, 255.0, size=(num_classes, 3, 32, 32))
+    splits = []
+    for per_class, split_seed in ((train_per_class, 1), (test_per_class, 2)):
+        srng = np.random.default_rng([seed, split_seed])
+        n = per_class * num_classes
+        fine = np.repeat(np.arange(num_classes, dtype=np.uint8), per_class)
+        noise = srng.uniform(0.0, 255.0, size=(n, 3, 32, 32))
+        pixels = np.clip(signal_weight * protos[fine] + (1.0 - signal_weight) * noise, 0.0, 255.0).astype(np.uint8)
+        order = srng.permutation(n)
+        records = np.empty((n, 3074), dtype=np.uint8)
+        records[:, 0] = (fine // 5)[order]
+        records[:, 1] = fine[order]
+        records[:, 2:] = pixels[order].reshape(n, -1)
+        splits.append(records)
+    return splits
+
+
+def standardized_split_reference(train_bytes, split_bytes):
+    """What loading a split from these file bytes must give: the
+    ``channel_stats.json`` text, the standardized float32 images and the
+    int64 labels, by the formula of the first loader (copy the pixels,
+    x/255 in a new array, statistics from it, a new array for each of
+    the two standardizing steps)."""
+
+    def unit_pixels(raw):
+        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3074)
+        pixels = records[:, 2:].reshape(-1, 3, 32, 32).copy()
+        return pixels.astype(np.float32) / np.float32(255.0), records[:, 1].copy()
+
+    x, _ = unit_pixels(train_bytes)
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+    std = x.std(axis=(0, 2, 3), dtype=np.float64)
+    stats = {
+        "mean": [float(m) for m in mean],
+        "std": [float(v) for v in std],
+        "source_split": "train",
+        "scale": "x/255",
+        "train_bytes": len(train_bytes),
+        "train_sha256": hashlib.sha256(train_bytes).hexdigest(),
+    }
+    images, fine = unit_pixels(split_bytes)
+    m32 = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
+    s32 = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
+    return json.dumps(stats, indent=2, sort_keys=True), (images - m32) / s32, fine.astype(np.int64)

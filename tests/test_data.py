@@ -23,6 +23,8 @@ from actlab.data import (
     write_synthetic_cifar100,
 )
 
+from oracles import standardized_split_reference, synthetic_records_one_shot
+
 
 @pytest.fixture
 def fixture_dir(tmp_path):
@@ -253,3 +255,36 @@ class TestSynthetic:
         dists = ((flat[:, None, :] - protos.reshape(8, -1)[None]) ** 2).sum(axis=2)
         acc = (dists.argmin(axis=1) == test_labels).mean()
         assert acc > 0.9
+
+
+CHUNK = data._SYNTH_CHUNK
+
+
+# (train per class, test per class, classes): the train split is shorter
+# than one noise chunk, exactly one, two whole ones, or ends on a short one
+@pytest.mark.parametrize(
+    "train_per_class, test_per_class, num_classes",
+    [(3, 2, 10), (CHUNK // 4, 1, 4), (CHUNK // 2, 3, 4), (CHUNK // 2 + 3, CHUNK // 2 - 1, 5)],
+    ids=["under-one-chunk", "one-chunk", "two-chunks", "short-last-chunk"],
+)
+@pytest.mark.parametrize("first_split", ["train", "test"])
+def test_chunked_writer_and_loader_match_one_shot_references(
+    tmp_path, train_per_class, test_per_class, num_classes, first_split
+):
+    assert CHUNK % 4 == 0
+    seed = train_per_class + num_classes
+    write_synthetic_cifar100(tmp_path, train_per_class, test_per_class, num_classes=num_classes, seed=seed)
+    want = synthetic_records_one_shot(train_per_class, test_per_class, num_classes, seed)
+    files = [(tmp_path / name).read_bytes() for name in ("train.bin", "test.bin")]
+    for got, records in zip(files, want):
+        assert got == records.tobytes()
+
+    splits = [first_split, "test" if first_split == "train" else "train"]
+    loaded = {split: load_cifar100(tmp_path, split) for split in splits}
+    for split, raw in zip(("train", "test"), files):
+        stats_text, images, labels = standardized_split_reference(files[0], raw)
+        assert (tmp_path / "channel_stats.json").read_text() == stats_text
+        ds = loaded[split]
+        assert ds.images.dtype == np.float32 and ds.images.flags.c_contiguous
+        assert ds.images.shape == images.shape and ds.images.tobytes() == images.tobytes()
+        assert ds.fine_labels.dtype == np.int64 and np.array_equal(ds.fine_labels, labels)

@@ -11,7 +11,7 @@ from actlab.plainnet import (
     build,
     count_params,
 )
-from actlab.tensor import ShapeError, Tensor, softmax_cross_entropy
+from actlab.tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 
 CANONICAL_TOTAL_BASELINE = 15_028_644
 CANONICAL_TOTAL_ZCSWISH = 15_041_316
@@ -170,6 +170,30 @@ class TestForward:
         names = [name for name, _ in probe]
         assert names[-1] == "logits"
         assert names[:-1] == [s.name for s in model.activation_sites()]
+
+    @pytest.mark.parametrize("activation", list(ActivationKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_probe_holds_forward_outputs_that_later_ops_leave_intact(self, activation, training):
+        # the probe keeps the forward outputs themselves, so no later op,
+        # forward or backward, may write into them
+        at_probe_time = []
+
+        class Probe(list):
+            def append(self, item):
+                at_probe_time.append(item[1].copy())
+                super().append(item)
+
+        model = self.make_model(activation, seed=3)
+        rng = np.random.default_rng(5)
+        batch = Tensor(rng.standard_normal((4, 3, 32, 32)).astype(np.float32))
+        probe = Probe()
+        with Tape() as tape:
+            logits = model.forward(batch, training=training, rng=np.random.default_rng(1), probe=probe)
+            assert probe[-1][1] is logits.data
+            tape.backward(softmax_cross_entropy(logits, np.arange(4)))
+        assert len(probe) == len(at_probe_time) == len(model.activation_sites()) + 1
+        for (site, act), want in zip(probe, at_probe_time):
+            assert act.tobytes() == want.tobytes(), site
 
     def test_training_mode_requires_rng_for_dropout(self):
         model = self.make_model()

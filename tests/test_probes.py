@@ -1,11 +1,21 @@
-"""Layer statistics with gradient norms, and the mean-drift experiment."""
+"""Layer statistics with gradient norms, the mean-drift experiment and
+its numpy Spearman coefficient."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
+import actlab
 from actlab.activations import ActivationKind
 from actlab.plainnet import PlainNetConfig, build
-from actlab.probes import DriftReport, drift_experiment, grad_norm, layer_stats
+from actlab.probes import DriftReport, _spearman, drift_experiment, grad_norm, layer_stats
 from actlab.tensor import Tensor, softmax_cross_entropy
 
 from oracles import rel_err
@@ -48,16 +58,20 @@ class TestLayerStats:
             assert st_.dead_frac == 1.0
 
     def test_stats_match_instrumentation_free_recomputation(self):
-        model = narrow_model(ActivationKind.SWISH, seed=3)
-        images, labels = probe_batch(seed=1)
-        stats = layer_stats(model, images, labels)
-        # independent recomputation: fresh forward, manual statistics
-        probe: list = []
-        model.forward(Tensor(images), probe=probe)
-        for st_, (site, act) in zip(stats, probe):
-            assert st_.site == site
-            assert st_.mean == pytest.approx(float(np.mean(act, dtype=np.float64)), rel=1e-12)
-            assert st_.std == pytest.approx(float(np.std(act, dtype=np.float64)), rel=1e-12)
+        for kind in ActivationKind:
+            model = narrow_model(kind, seed=3)
+            images, labels = probe_batch(seed=1)
+            stats = layer_stats(model, images, labels)
+            # independent recomputation: fresh forward, manual statistics
+            # over C-order copies, bit for bit (conv outputs are
+            # channels-last, and the sums must not follow that layout)
+            probe: list = []
+            model.forward(Tensor(images), probe=probe)
+            assert [st_.site for st_ in stats] == [site for site, _ in probe]
+            for st_, (site, act) in zip(stats, probe):
+                act = act.copy(order="C")
+                assert st_.mean == float(np.mean(act, dtype=np.float64)), (kind, site)
+                assert st_.std == float(np.std(act, dtype=np.float64)), (kind, site)
 
     def test_one_record_per_site_plus_head(self):
         model = narrow_model()
@@ -169,3 +183,50 @@ class TestDriftExperiment:
             drift_experiment("relu", depth=1, center="oracle")
         with pytest.raises(ValueError, match="input_dist"):
             drift_experiment("swish", depth=1, input_dist="cauchy")
+
+
+class TestSpearman:
+    def test_perfect_rank_agreement_is_exactly_one(self):
+        depth = np.arange(1, 17)
+        assert _spearman(np.linspace(0.1, 3.0, 16), depth) == 1.0
+        assert _spearman(np.linspace(3.0, 0.1, 16), depth) == -1.0
+
+    def test_tie_takes_the_average_rank(self):
+        # ranks (4, 1, 2.5, 2.5) against (1, 2, 3, 4): covariance -1.5,
+        # variances 4.5 and 5, so rho = -1.5 / sqrt(22.5) = -1/sqrt(10)
+        rho = _spearman(np.array([3.0, 1.0, 2.0, 2.0]), np.arange(1, 5))
+        assert rho == pytest.approx(-1.0 / math.sqrt(10.0), rel=1e-15, abs=0.0)
+
+    def test_drift_report_uses_it(self):
+        report = drift_experiment("swish", depth=6, width=16, samples=64, seed=1)
+        abs_means = np.array([abs(s.mean) for s in report.sites])
+        assert report.spearman_abs_mean_vs_depth == _spearman(abs_means, np.arange(1, 7))
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_spearman_equals_scipy_bit_for_bit(scipy_stats, data):
+    n = data.draw(st.integers(2, 40), label="n")
+    # a small integer pool makes ties common; the float pool mixes in distinct values
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+    a = np.array(data.draw(st.lists(value, min_size=n, max_size=n), label="a"))
+    b = np.array(data.draw(st.lists(value, min_size=n, max_size=n), label="b"))
+    assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+    want = float(scipy_stats.spearmanr(a, b).statistic)
+    assert np.float64(_spearman(a, b)).tobytes() == np.float64(want).tobytes()
+
+
+def test_importing_actlab_loads_no_scipy():
+    code = (
+        "import sys, actlab, actlab.cli, actlab.trainer, actlab.probes; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(actlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Engine-level tests: forward oracles, backward rules, tape semantics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -471,11 +473,18 @@ class TestDeterminismAndDtype:
         np.testing.assert_array_equal(one[0], full[3])
 
     def test_mixed_dtype_rejected(self):
-        with pytest.raises(ShapeError, match="dtype"):
+        message = re.escape("operands must share one dtype, got ['float32', 'float64']")
+        with pytest.raises(ShapeError, match=message):
             linear(
                 Tensor(np.zeros((1, 2)), dtype=np.float64),
                 Tensor(np.zeros((2, 2)), dtype=np.float32),
                 Tensor(np.zeros(2), dtype=np.float32),
+            )
+        with pytest.raises(ShapeError, match=message):  # only the last operand differs
+            conv2d(
+                Tensor(np.zeros((1, 1, 2, 2)), dtype=np.float32),
+                Tensor(np.zeros((1, 1, 3, 3)), dtype=np.float32),
+                Tensor(np.zeros(1), dtype=np.float64),
             )
 
     def test_int_input_promoted_to_default_dtype(self):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from actlab.tensor import DEFAULT_DTYPE, ShapeError, Tensor, record_op
+from actlab.tensor import DEFAULT_DTYPE, ShapeError, Tensor, channel_sum, record_op
 
 __all__ = [
     "ActivationKind",
@@ -170,7 +170,7 @@ def _zc_swish(x, c, beta, g):
     s = sigmoid(beta * u)
     q = sigmoid(-(beta * c))
     core = u * s + c * q
-    return g * core, (u, s, q, core)
+    return g * core, (s, q, core)
 
 
 FORMULAS = {
@@ -235,12 +235,16 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         t[...] = p.reshape(view)
         return t
 
-    beta_t, gain_t = tile(beta), tile(gain)
-    out, (u, s, q, core) = _zc_swish(d, tile(c), beta_t, gain_t)
+    c_t, beta_t, gain_t = tile(c), tile(beta), tile(gain)
+    out, (s, q, core) = _zc_swish(d, c_t, beta_t, gain_t)
     q = q[0] if q.ndim == 2 else q[0, :, 0, 0]  # per channel
-    reduce_axes = (0,) if d.ndim == 2 else (0, 2, 3)
 
     def backward_fn(gout: np.ndarray):
+        # u = x - c is not kept from the forward but recomputed here by the
+        # same op on the same operands, so it has the same bits. That holds
+        # because no op writes into a forward output: d is still the input
+        # the forward saw.
+        u = d - c_t
         if x.requires_grad:
             x.grad += gout * gain_t * s * (1.0 + beta_t * u * (1.0 - s))
         need_c = params.c.requires_grad
@@ -249,19 +253,19 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         if not (need_c or need_b or need_g):
             return
         sp = s * (1.0 - s)
-        gsum = gout.sum(axis=reduce_axes)
+        gsum = channel_sum(gout)
         qp = q * (1.0 - q)
         if need_c:
-            main = (gout * gain_t * -(s + beta_t * u * sp)).sum(axis=reduce_axes)
+            main = channel_sum(gout * gain_t * -(s + beta_t * u * sp))
             const = gsum * gain * (q - beta * c * qp)
             params.c.grad += main + const
         if need_b:
-            main = (gout * gain_t * (u * u * sp)).sum(axis=reduce_axes)
+            main = channel_sum(gout * gain_t * (u * u * sp))
             const = gsum * gain * (c * c * qp)
             dbeta = main - const
             params.beta_raw.grad += dbeta * sigmoid(params.beta_raw.data.astype(dt, copy=False))
         if need_g:
-            params.g.grad += (gout * core).sum(axis=reduce_axes)
+            params.g.grad += channel_sum(gout * core)
 
     return record_op(Tensor(out), (x, params.c, params.beta_raw, params.g), backward_fn)
 

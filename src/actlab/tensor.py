@@ -22,6 +22,14 @@ Two kernel families exist for conv2d and linear, selected by dtype:
 
 All other operations are elementwise or per-sample and therefore exact
 and batch-independent in both dtypes.
+
+Per-channel sums over the batch and spatial axes (the bias gradients,
+zc_swish's parameter gradients) go through :func:`channel_sum`. It
+keeps the bits of numpy's ``.sum``, which adds each channel sequentially
+in memory order when the channel axis has unit stride (channels-last
+data), and runs that case as one vectorised einsum loop instead of a loop
+C elements long. Backward passes work in the data's own memory layout,
+so the gradient of a channels-last output is channels-last too.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
     "scale",
     "tsum",
     "reshape",
+    "channel_sum",
     "conv2d",
     "maxpool2",
     "linear",
@@ -180,6 +189,29 @@ def _same_dtype(*tensors: Tensor):
     if any(t.data.dtype != dtype for t in tensors[1:]):
         dtypes = {t.data.dtype for t in tensors}
         raise ShapeError(f"operands must share one dtype, got {sorted(str(d) for d in dtypes)}")
+
+
+def channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an [N, C] or [N, C, H, W] array, over every other
+    axis: the bits of ``a.sum(axis=0)`` or ``a.sum(axis=(0, 2, 3))``.
+
+    With the channel axis innermost in memory, ``.sum`` adds each channel
+    sequentially in memory order, but its inner loop is only C elements
+    long. ``einsum`` adds in that same order with a vectorised loop, so it
+    is used exactly there: C >= 2 and unit channel stride. Anywhere else
+    (NCHW-contiguous, or C = 1) ``.sum`` adds pairwise along the innermost
+    axis, and einsum's order, and so its bits, would differ.
+
+    einsum's vector lanes add (element + running sum) where ``.sum`` adds
+    (running sum + element). IEEE addition is commutative except in which
+    operand's NaN a NaN + NaN passes on, so the two differ only in the sign
+    or payload of a NaN total; a NaN total is summed again by ``.sum``.
+    """
+    if a.shape[1] >= 2 and a.strides[1] == a.itemsize:
+        out = np.einsum("nc->c" if a.ndim == 2 else "nchw->c", a)
+        if not np.isnan(out).any():
+            return out
+    return a.sum(axis=0 if a.ndim == 2 else (0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +377,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if weight.requires_grad:
             weight.grad += (gmat.T @ _im2col(xp, h, w)).reshape(c_out, c_in, 3, 3)
         if bias.requires_grad:
-            bias.grad += g.sum(axis=(0, 2, 3))
+            bias.grad += channel_sum(g)
         if x.requires_grad:
             gcols = (gmat @ weight.data.reshape(c_out, c_in * 9)).reshape(n, h, w, c_in, 3, 3)
             gxp = np.zeros_like(xp)
@@ -390,6 +422,12 @@ def maxpool2(x: Tensor) -> Tensor:
     only shows in the bits of a +0/-0 tie or of a NaN, so only windows whose
     maximum is NaN, or is zero while ``x`` holds a set sign bit, are picked
     again by the first-wins rule.
+
+    The backward pass writes the gradient as integer bit patterns into an
+    array with ``x``'s memory layout (channels-last after a conv) whose H
+    and W axes are split into windows by a view, so the add into
+    ``x.grad``, which has that layout too, streams through both in one
+    order.
     """
     _check(x.ndim == 4, f"maxpool2 input must be 4-d [N,C,H,W], got shape {x.shape}")
     n, c, h, w = x.shape
@@ -420,7 +458,8 @@ def maxpool2(x: Tensor) -> Tensor:
         # Integer products on the bit patterns: g's bits where the window's
         # winner sits, +0.0's bits at the other three elements.
         gbits = np.asarray(g, dtype=x.dtype).view(bits)
-        gx = np.empty(v.shape, dtype=bits)
+        gx = np.empty_like(x.data, dtype=bits)  # x's memory layout, as x.grad's
+        gv = gx.reshape(v.shape)  # splitting H and W is always a view
         free = None  # windows whose winner is not found yet
         for (dr, dc), q in zip(_WINDOW, quarters):
             if (dr, dc) == (1, 1):
@@ -432,8 +471,8 @@ def maxpool2(x: Tensor) -> Tensor:
                 else:
                     hit &= free
                     free ^= hit
-            np.multiply(gbits, hit, out=gx[:, :, :, dr, :, dc])
-        x.grad += gx.view(x.dtype).reshape(n, c, h, w)
+            np.multiply(gbits, hit, out=gv[:, :, :, dr, :, dc])
+        x.grad += gx.view(x.dtype)
 
     return record_op(out, (x,), backward_fn)
 
@@ -477,7 +516,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if weight.requires_grad:
             weight.grad += g.T @ x.data
         if bias.requires_grad:
-            bias.grad += g.sum(axis=0)
+            bias.grad += channel_sum(g)
         if x.requires_grad:
             x.grad += g @ weight.data
 

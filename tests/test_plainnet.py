@@ -11,6 +11,7 @@ from actlab.plainnet import (
     build,
     count_params,
 )
+from actlab import activations, tensor
 from actlab.tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 
 CANONICAL_TOTAL_BASELINE = 15_028_644
@@ -200,6 +201,46 @@ class TestForward:
         x = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
         with pytest.raises(ValueError, match="rng"):
             model.forward(x, training=True)
+
+
+@pytest.mark.parametrize("activation", [ActivationKind.RELU, ActivationKind.ZCSWISH], ids=lambda k: k.value)
+def test_desk_step_gradients_keep_the_bits_of_plain_sums(activation, monkeypatch):
+    # One float32 training step at the bench's shapes (depth 8, width/8,
+    # batch 32): every parameter gradient has the bits it gets when each
+    # per-channel sum is numpy's own .sum.
+    rng = np.random.default_rng(17)
+    images = rng.standard_normal((32, 3, 32, 32)).astype(np.float32)
+    labels = rng.integers(0, 100, size=32)
+
+    def step():
+        model = build(PlainNetConfig(depth=8, width_divisor=8, activation=activation), np.random.default_rng(4))
+        with Tape() as tape:
+            logits = model.forward(Tensor(images), training=True, rng=np.random.default_rng(5))
+            tape.backward(softmax_cross_entropy(logits, labels))
+        return {name: p.grad.copy() for name, p in model.named_parameters()}
+
+    channels_last = []  # 4-d sums whose channel axis is innermost: einsum's case
+    channel_sum = tensor.channel_sum
+
+    def spy(a):
+        channels_last.append(a.ndim == 4 and a.strides[1] == a.itemsize)
+        return channel_sum(a)
+
+    monkeypatch.setattr(tensor, "channel_sum", spy)
+    monkeypatch.setattr(activations, "channel_sum", spy)
+    got = step()
+    assert len(channels_last) == (8 if activation is ActivationKind.RELU else 8 + 6 * 4)
+    assert sum(channels_last) == len(channels_last) - 2  # all but fc1's and fc2's bias
+
+    def plain_sum(a):
+        return a.sum(axis=0 if a.ndim == 2 else (0, 2, 3))
+
+    monkeypatch.setattr(tensor, "channel_sum", plain_sum)
+    monkeypatch.setattr(activations, "channel_sum", plain_sum)
+    want = step()
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        assert g.tobytes() == want[name].tobytes(), name
 
 
 class TestAuditAndCheckpoint:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from actlab.tensor import (
@@ -13,6 +13,7 @@ from actlab.tensor import (
     Tape,
     Tensor,
     add,
+    channel_sum,
     conv2d,
     dropout,
     gradcheck,
@@ -217,21 +218,27 @@ class TestMaxPool2:
 @settings(max_examples=200, deadline=None)
 @given(
     shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    channels_last=st.booleans(),
     dtype=st.sampled_from([np.float32, np.float64]),
     data=st.data(),
 )
-def test_maxpool2_bits_match_argmax_reference(shape, dtype, data):
+def test_maxpool2_bits_match_argmax_reference(shape, channels_last, dtype, data):
+    # Inputs come NCHW-contiguous or, as a conv's output, channels-last in
+    # memory; x.grad has x's layout, as a tape's zeros_like gives it.
     n, c, h2, w2 = shape
     values = st.sampled_from(POOL_VALUES)
 
     def draw(size):
         return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
 
-    xd = draw(n * c * h2 * 2 * w2 * 2).reshape(n, c, 2 * h2, 2 * w2)
+    def layout(a):
+        return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2) if channels_last else a
+
+    xd = layout(draw(n * c * h2 * 2 * w2 * 2).reshape(n, c, 2 * h2, 2 * w2))
     weight = draw(n * c * h2 * w2).reshape(n, c, h2, w2)
-    grad0 = draw(xd.size).reshape(xd.shape)  # x.grad before the pool's add
-    x = Tensor(xd.copy(), requires_grad=True)
-    x.grad = grad0.copy()
+    grad0 = layout(draw(xd.size).reshape(xd.shape))  # x.grad before the pool's add
+    x = Tensor(xd.copy(order="K"), requires_grad=True)
+    x.grad = grad0.copy(order="K")
     with np.errstate(invalid="ignore"):  # inf - inf in the loss and in the grads
         with Tape() as tape:
             out = maxpool2(x)
@@ -239,16 +246,76 @@ def test_maxpool2_bits_match_argmax_reference(shape, dtype, data):
         want_out, want_gx = maxpool2_argmax(xd, out.grad)
         want_grad = grad0 + want_gx
     np.testing.assert_array_equal(bits(out.data), bits(want_out))
+    assert x.grad.strides == xd.strides
     np.testing.assert_array_equal(bits(x.grad), bits(want_grad))
     if np.isfinite(xd).all():
         nested_out, argpos = maxpool2_nested(xd)
         np.testing.assert_array_equal(bits(out.data), bits(nested_out))
-        x = Tensor(xd.copy(), requires_grad=True)
+        x = Tensor(xd.copy(order="K"), requires_grad=True)
         with Tape() as tape:
             tape.backward(tsum(maxpool2(x)))
         hit = np.zeros((n, c, xd.shape[2] * xd.shape[3]))
         np.put_along_axis(hit, argpos.reshape(n, c, -1), 1.0, axis=-1)
         np.testing.assert_array_equal(x.grad, hit.reshape(xd.shape))
+
+
+# ±0, infinities and NaN: the classes whose sums show an order change in
+# their sign or payload bits, not only in rounding
+SUM_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 64), st.integers(1, 40)),
+        st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    ),
+    layout=st.sampled_from(["contiguous", "channels_last", "swapped", "sliced"]),
+    values=st.sampled_from(["normal", "sprinkled", "specials"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(1, 8, 1, 1), layout="channels_last", values="normal", dtype=np.float32, seed=0)
+@example(shape=(6, 1, 12, 12), layout="channels_last", values="normal", dtype=np.float32, seed=0)
+@example(shape=(6, 5, 12, 12), layout="contiguous", values="normal", dtype=np.float64, seed=0)
+@example(shape=(6, 12, 12, 12), layout="channels_last", values="specials", dtype=np.float32, seed=0)
+def test_channel_sum_bits_match_numpy_sum(shape, layout, values, dtype, seed):
+    # channel_sum must give the bits of a.sum over every axis but the
+    # channel one, whichever path it takes. Layouts: C-contiguous (NCHW, or
+    # [N, C]); channels-last (NHWC; [N, C] stored as [C, N] for 2-d);
+    # channels innermost with H and W swapped in memory (NWHC; for 2-d,
+    # every other column of a wider array); a slice of a channels-last
+    # padded buffer, as conv2d's input gradient is.
+    rng = np.random.default_rng(seed)
+    ndim = len(shape)
+    n, c = shape[:2]
+    if layout == "contiguous":
+        a = np.empty(shape, dtype=dtype)
+    elif ndim == 2:
+        a = {
+            "channels_last": np.empty((c, n), dtype=dtype).T,
+            "swapped": np.empty((n, 2 * c), dtype=dtype)[:, ::2],
+            "sliced": np.empty((n + 2, c + 3), dtype=dtype)[1 : n + 1, 2 : c + 2],
+        }[layout]
+    else:
+        h, w = shape[2:]
+        a = {
+            "channels_last": np.empty((n, h, w, c), dtype=dtype).transpose(0, 3, 1, 2),
+            "swapped": np.empty((n, w, h, c), dtype=dtype).transpose(0, 3, 2, 1),
+            "sliced": np.empty((n, h + 2, w + 2, c), dtype=dtype)[:, 1 : h + 1, 1 : w + 1, :].transpose(0, 3, 1, 2),
+        }[layout]
+    if values == "specials":
+        a[...] = rng.choice(np.array(SUM_SPECIALS, dtype=dtype), size=shape)
+    else:
+        a[...] = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)).astype(dtype)
+        if values == "sprinkled":
+            hit = rng.random(shape) < 0.05
+            a[hit] = rng.choice(np.array(SUM_SPECIALS, dtype=dtype), size=int(hit.sum()))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and float32 overflow
+        got = channel_sum(a)
+        want = a.sum(axis=0 if ndim == 2 else (0, 2, 3))
+    assert got.shape == (c,) and got.dtype == dtype
+    np.testing.assert_array_equal(bits(got), bits(want))
 
 
 class TestLinear:

@@ -427,7 +427,9 @@ def maxpool2(x: Tensor) -> Tensor:
     array with ``x``'s memory layout (channels-last after a conv) whose H
     and W axes are split into windows by a view, so the add into
     ``x.grad``, which has that layout too, streams through both in one
-    order.
+    order. When the output gradient holds a NaN, a channels-last gradient
+    is added as an NCHW copy instead, because which NaN a NaN + NaN add
+    passes on depends on the loop numpy runs.
     """
     _check(x.ndim == 4, f"maxpool2 input must be 4-d [N,C,H,W], got shape {x.shape}")
     n, c, h, w = x.shape
@@ -472,7 +474,13 @@ def maxpool2(x: Tensor) -> Tensor:
                     hit &= free
                     free ^= hit
             np.multiply(gbits, hit, out=gv[:, :, :, dr, :, dc])
-        x.grad += gx.view(x.dtype)
+        gx = gx.view(x.dtype)
+        if not gx.flags.c_contiguous and np.isnan(g).any():
+            # Which NaN a NaN + NaN passes on depends on numpy's loop, so
+            # where both x.grad and gx may hold one, add an NCHW copy: the
+            # loop, and the bits, of an NCHW-built gradient.
+            gx = np.ascontiguousarray(gx)
+        x.grad += gx
 
     return record_op(out, (x,), backward_fn)
 

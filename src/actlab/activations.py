@@ -39,6 +39,7 @@ here, and avoids a special-function dependency in the hot path.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "apply_activation",
     "activation_eval",
     "zc_swish_eval",
+    "normal_quadrature",
     "CenteringResult",
     "find_centering_anchor",
     "activation_curves",
@@ -305,23 +307,67 @@ def activation_eval(kind: ActivationKind, x) -> np.ndarray:
     return FORMULAS[kind](_float_array(x))[0]
 
 
-def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_INIT):
+_EVAL_BLOCK = 8192  # elements per _zc_swish call in zc_swish_eval
+
+
+def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_INIT, out: np.ndarray | None = None):
     """Scalar-parameter zero-centered swish on a plain array.
 
     Parameters are cast to the array's dtype; ``beta=None`` means
     softplus(BETA_RAW_INIT), so the defaults reproduce the initial
     learnable triple.
+
+    An array of more than ``_EVAL_BLOCK`` elements, or any array given
+    ``out``, is evaluated in blocks of at most that many elements, each
+    block one call of the same formula, so no temporary is larger than a
+    block. Every element is the same chain of elementwise ops either
+    way, so the bits do not depend on the blocking or on ``out``.
+    ``out`` must have x's shape and dtype; it is filled and returned.
+    Without ``out`` the result is a new array in x's memory layout (a
+    numpy scalar for a 0-d x).
     """
     x = _float_array(x)
     scalar = x.dtype.type
     if beta is None:
         beta = softplus(scalar(BETA_RAW_INIT))
-    return _zc_swish(x, scalar(c), scalar(beta), scalar(g))[0]
+    c, beta, g = scalar(c), scalar(beta), scalar(g)
+    if out is None:
+        if x.size <= _EVAL_BLOCK:
+            return _zc_swish(x, c, beta, g)[0]
+        out = np.empty_like(x)
+    elif out.shape != x.shape or out.dtype != x.dtype:
+        raise ValueError(f"out must have shape {x.shape} and dtype {x.dtype}, got {out.shape} and {out.dtype}")
+    blocks = np.nditer(
+        [x, out],
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly"], ["writeonly"]],
+        buffersize=_EVAL_BLOCK,
+    )
+    with blocks:
+        for xb, ob in blocks:
+            ob[...] = _zc_swish(xb, c, beta, g)[0]
+    return out
+
+
+@functools.cache
+def normal_quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights w of 101-node Gauss-Hermite quadrature for the
+    standard normal: E[h(z)] ~= sum(w * h(z)) for z ~ N(0, 1). Computed
+    once, as ``hermgauss`` solves an eigenproblem on every call; both
+    arrays are read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(101)
+    z = np.sqrt(2.0) * nodes
+    w = weights / np.sqrt(np.pi)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 @dataclass
 class CenteringResult:
-    """Outcome of the offline centering search (never raises for no-root)."""
+    """Outcome of the offline centering search (never raises for no-root).
+
+    ``iterations`` counts the mean evaluations of the root polish,
+    ``evaluations`` every mean evaluation of the solve."""
 
     c: float
     mean_at_c: float
@@ -329,76 +375,249 @@ class CenteringResult:
     bracket: tuple[float, float]
     iterations: int
     note: str = ""
+    evaluations: int = 0
 
 
-_MAX_BISECTIONS = 200
+_GRID_POINTS = 129  # c values of the predicted bracket scan
+_MAX_CANDIDATES = 3  # predicted sign changes or dips checked on the sample, best first
+_MAX_WIDENINGS = 8  # doubling steps away from a predicted bracket without a sample sign change
+_MAX_DIP_STEPS = 4  # downhill or parabola steps on the sample's mean near a predicted dip
+_MAX_ITERATIONS = 100  # Brent steps
+
+
+def _predicted_mean_and_std(c: np.ndarray, nodes: np.ndarray, weights: np.ndarray, beta: float):
+    """The weighted mean and std of f(nodes; c, beta, 1) at every anchor in
+    ``c``: one call of the formula on a [len(c), len(nodes)] array."""
+    f = _zc_swish(nodes, c[:, None], beta, 1.0)[0]
+    m1 = f @ weights
+    m2 = (f * f) @ weights
+    return m1, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 
 def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> CenteringResult:
     """Find the anchor c that zeroes the sample mean of zc_swish.
 
-    Bisects mean(f(sample; c, beta, g=1)) over c in [-10*std, +10*std] of
-    the sample until |mean| < tol, for at most ``_MAX_BISECTIONS``
-    halvings. A bracket without a sign change is reported in the result,
-    not raised.
+    The bracket is predicted, not scanned on the sample. Under a Gaussian
+    with the sample's mean and std (the wide-network view of a site), the
+    mean and std of f(z; c, beta, g=1) follow by 101-node Gauss-Hermite
+    quadrature on a grid of c spanning +-max(10*std, 8/beta), in one call
+    of the formula on a small [grid, nodes] array; a sample of at most 101
+    values is its own quadrature, so its prediction is exact. The cells
+    where the predicted mean changes sign are candidates, the one with
+    the largest predicted output std first (ties go to the smaller |c|):
+    a zero-mean site has a root that keeps the signal's scale (c < 0) and
+    one that squashes it (c > 0). With a positive sample mean the roots
+    that keep std exist only where the mean dips below zero left of its
+    peak; when the predicted dip is within 3 standard errors of zero, the
+    sample's own mean is searched near it instead (at most
+    ``_MAX_DIP_STEPS`` downhill or parabola steps).
+
+    Each candidate is checked on the full sample. Where the sample's mean
+    has one sign at both ends of a cell, the bracket steps, doubling in
+    width, to the side where the predicted mean has the other sign, at
+    most ``_MAX_WIDENINGS`` times; then the next candidate is tried, up to
+    ``_MAX_CANDIDATES``. Brent's method (Brent 1973) polishes a bracketed
+    root until |mean| < tol; a bracket end already within tol is taken as
+    it is. Every sample-mean evaluation is one ``zc_swish_eval`` call into
+    one reused buffer, and ``evaluations`` in the result counts them.
+
+    No sign change, a bracket that shrinks to float resolution and the
+    step cap are reported in the result's note, not raised. A non-finite
+    or non-positive ``beta`` or ``tol``, an empty sample and a non-finite
+    sample value (named by its index) raise ``ValueError``.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sample = np.asarray(sample, dtype=np.float64).ravel()
     if sample.size == 0:
         raise ValueError("sample is empty")
+    finite = np.isfinite(sample)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"sample value at index {i} is {float(sample[i])}, not finite")
+    beta, buf = float(beta), np.empty_like(sample)
+    evaluations, closest = 0, (0.0, np.inf)  # the anchor with the smallest |mean| so far
 
     def mean_at(c: float) -> float:
-        return float(np.mean(zc_swish_eval(sample, c=c, beta=beta, g=1.0)))
+        nonlocal evaluations, closest
+        evaluations += 1
+        f = float(np.mean(zc_swish_eval(sample, c=c, beta=beta, g=1.0, out=buf)))
+        if abs(f) < abs(closest[1]):
+            closest = (c, f)
+        return f
+
+    def result(c, f, converged, bracket, iterations, note=""):
+        return CenteringResult(c, f, converged, bracket, iterations, note, evaluations)
 
     if np.all(sample == 0.0):
         # f(0) == 0 for every parameter choice, so any anchor works.
-        return CenteringResult(0.0, 0.0, True, (0.0, 0.0), 0, "all-zero sample, mean is 0 for any c")
+        return result(0.0, 0.0, True, (0.0, 0.0), 0, "all-zero sample, mean is 0 for any c")
 
-    sd = float(sample.std())
-    lo, hi = -10.0 * sd, 10.0 * sd
+    mu, sd = float(sample.mean()), float(sample.std())
     if sd == 0.0:
-        return CenteringResult(0.0, mean_at(0.0), False, (lo, hi), 0, "degenerate constant sample, empty bracket")
+        f0 = mean_at(0.0)
+        return result(0.0, f0, False, (0.0, 0.0), 0, "degenerate constant sample, empty bracket")
 
-    f_lo, f_hi = mean_at(lo), mean_at(hi)
-    if f_lo == 0.0:
-        return CenteringResult(lo, f_lo, True, (lo, hi), 0)
-    if f_hi == 0.0:
-        return CenteringResult(hi, f_hi, True, (lo, hi), 0)
-    if np.sign(f_lo) == np.sign(f_hi):
-        # one coarse scan for an interior sign change before giving up
-        grid = np.linspace(lo, hi, 65)
-        vals = [mean_at(float(gc)) for gc in grid]
-        found = False
-        for i in range(len(grid) - 1):
-            if np.sign(vals[i]) != np.sign(vals[i + 1]):
-                lo, hi, f_lo, f_hi = float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]
-                found = True
+    span = max(10.0 * sd, 8.0 / beta)
+    grid = np.linspace(-span, span, _GRID_POINTS)
+    z, w = normal_quadrature()
+    if sample.size <= z.size:
+        # no more values than quadrature nodes: the sample is its own
+        # quadrature, and its predicted mean is its mean
+        pm, ps = _predicted_mean_and_std(grid, sample, np.full(sample.size, 1.0 / sample.size), beta)
+        noise = 0.0
+    else:
+        pm, ps = _predicted_mean_and_std(grid, mu + sd * z, w, beta)
+        noise = 3.0 / np.sqrt(sample.size)  # standard errors of the sample mean, per unit output std
+    width = float(grid[1] - grid[0])
+
+    def step_out(c, f, direction):
+        # from c, step away by doubling widths until the sample mean
+        # changes sign or comes within tol
+        w = width
+        for _ in range(_MAX_WIDENINGS):
+            c2 = c + direction * w
+            f2 = mean_at(c2)
+            if abs(f2) < tol or np.sign(f2) != np.sign(f):
+                return c, f, c2, f2
+            c, f, w = c2, f2, 2.0 * w
+        return None
+
+    def check_crossing(i):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        f_lo, f_hi = mean_at(lo), mean_at(hi)
+        if min(abs(f_lo), abs(f_hi)) < tol or np.sign(f_lo) != np.sign(f_hi):
+            return lo, f_lo, hi, f_hi
+        # one sign at both ends: the sample's root lies on the side where
+        # the predicted mean has the other sign
+        if np.sign(f_lo) == np.sign(pm[i + 1]):
+            return step_out(lo, f_lo, -1.0)
+        return step_out(hi, f_hi, 1.0)
+
+    def check_dip(j):
+        # The sample's mean may dip below zero near the predicted dip. Keep
+        # three points a < b < c with b the lowest, walking downhill with
+        # doubling steps until they hold the minimum, then step to the
+        # vertex of their parabola, until a point is below zero. From it,
+        # step toward the peak for the root on that side.
+        below = []
+
+        def probe(c):
+            f = mean_at(c)
+            if f < tol:
+                below.append((c, f))
+            return f
+
+        a, b, c = (float(grid[j + k]) for k in (-1, 0, 1))
+        fb = probe(b)
+        fa = fc = fb
+        if not below:
+            fa = probe(a)
+        if not below:
+            fc = probe(c)
+        for _ in range(_MAX_DIP_STEPS):
+            if below:
                 break
-        if not found:
-            best = int(np.argmin(np.abs(vals)))
-            return CenteringResult(
-                float(grid[best]),
-                vals[best],
-                False,
-                (-10.0 * sd, 10.0 * sd),
-                0,
-                f"no sign change of mean(f) on [-10*std, +10*std] = [{-10.0 * sd:.6g}, {10.0 * sd:.6g}]",
-            )
+            if fa < fb:
+                a, b, c, fb, fc = a - 2.0 * (b - a), a, b, fa, fb
+                fa = probe(a)
+            elif fc < fb:
+                a, b, c, fa, fb = b, c, c + 2.0 * (c - b), fb, fc
+                fc = probe(c)
+            else:
+                p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
+                v = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q) if p != q else b
+                if not a < v < c or v == b:
+                    break
+                fv = probe(v)
+                if fv < fb:
+                    a, b, c, fa, fb, fc = (a, v, b, fa, fv, fb) if v < b else (b, v, c, fb, fv, fc)
+                elif v < b:
+                    a, fa = v, fv
+                else:
+                    c, fc = v, fv
+        if not below:
+            return None
+        c, f = below[0]
+        return (c, f, c, f) if abs(f) < tol else step_out(c, f, 1.0)
 
-    c_mid, f_mid = lo, f_lo
-    for it in range(1, _MAX_BISECTIONS + 1):
-        c_mid = 0.5 * (lo + hi)
-        f_mid = mean_at(c_mid)
-        if abs(f_mid) < tol:
-            return CenteringResult(c_mid, f_mid, True, (lo, hi), it)
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = c_mid, f_mid
+    # Candidates, the most predicted output std first, then the smaller |c|:
+    # the cells where the predicted mean changes sign. With a positive
+    # sample mean (the predicted mean's limit as c -> -inf), the roots
+    # that keep std are where the predicted mean dips below zero left of
+    # its peak. Where the dip is within 3 standard errors of zero, whether
+    # and where the sample's mean crosses there is decided by the sample,
+    # so the dip replaces the cells left of the peak.
+    cells = np.flatnonzero(np.sign(pm[:-1]) != np.sign(pm[1:]))
+    top = int(np.argmax(pm))
+    dip = int(np.argmin(pm[:top])) if top > 1 else 0
+    near_dip = mu > 0.0 and dip > 0 and abs(pm[dip]) < noise * ps[dip]
+    if near_dip:
+        cells = cells[cells >= top]
+    candidates = [(0.5 * (ps[i] + ps[i + 1]), abs(grid[i] + grid[i + 1]) / 2, check_crossing, i) for i in cells]
+    if near_dip:
+        candidates.append((ps[dip], abs(grid[dip]), check_dip, dip))
+    candidates.sort(key=lambda cand: (-cand[0], cand[1]))
+    if not candidates:
+        mean_at(float(grid[np.argmin(np.abs(pm))]))
+        return result(*closest, False, (-span, span), 0,
+                      f"no sign change of the predicted mean on [{-span:.6g}, {span:.6g}]")
+    for _, _, check, i in candidates[:_MAX_CANDIDATES]:
+        found = check(i)
+        if found is None:
+            continue
+        lo, f_lo, hi, f_hi = found
+        if lo > hi:
+            lo, f_lo, hi, f_hi = hi, f_hi, lo, f_lo
+        c, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+        if abs(f) < tol:
+            return result(c, f, True, (lo, hi), 0)
+        return _brent(mean_at, lo, hi, f_lo, f_hi, tol, result)
+    return result(*closest, False, (-span, span), 0,
+                  f"no sign change of the sample mean near the predicted roots on [{-span:.6g}, {span:.6g}]")
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, result) -> CenteringResult:
+    """Brent's root polish of f on [a, b], where fa and fb differ in sign,
+    until |f| < tol (Brent 1973, ch. 4; the zeroin form: inverse quadratic
+    or secant steps kept inside the bracket, bisection otherwise)."""
+    pre, cur, f_pre, f_cur = a, b, fa, fb
+    blk, f_blk = pre, f_pre
+    s_pre = s_cur = cur - pre
+    for it in range(1, _MAX_ITERATIONS + 1):
+        if np.sign(f_pre) != np.sign(f_cur):
+            blk, f_blk = pre, f_pre
+            s_pre = s_cur = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        bracket = (min(cur, blk), max(cur, blk))
+        if abs(f_cur) < tol:
+            return result(cur, f_cur, True, bracket, it - 1)
+        delta = 2.0 * np.finfo(np.float64).eps * max(abs(cur), 1.0)
+        s_bis = 0.5 * (blk - cur)
+        if abs(s_bis) < delta:
+            return result(cur, f_cur, False, bracket, it - 1, "bracket shrank to float resolution")
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if pre == blk:  # secant
+                s_try = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (pre - cur)
+                d_blk = (f_blk - f_cur) / (blk - cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
         else:
-            hi, f_hi = c_mid, f_mid
-    return CenteringResult(c_mid, f_mid, abs(f_mid) < tol, (lo, hi), _MAX_BISECTIONS, "iteration cap reached")
+            s_pre = s_cur = s_bis
+        pre, f_pre = cur, f_cur
+        cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        f_cur = f(cur)
+    bracket = (min(cur, blk), max(cur, blk))
+    return result(cur, f_cur, abs(f_cur) < tol, bracket, _MAX_ITERATIONS, "iteration cap reached")
 
 
 def activation_curves(xs) -> dict[str, np.ndarray]:

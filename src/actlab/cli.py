@@ -358,6 +358,7 @@ def cmd_drift(args) -> int:
     print(f"spearman(|mean|, depth) = {report.spearman_abs_mean_vs_depth!r}")
     if report.anchors:
         print("anchors: " + " ".join(f"{a:.4g}" for a in report.anchors))
+        print(f"anchors converged: {report.anchors_converged}/{len(report.anchors)}")
     print(f"wrote {out}")
     return 0
 
@@ -374,6 +375,10 @@ def cmd_center_oracle(args) -> int:
             sample = np.loadtxt(args.input, dtype=np.float64).ravel()
         if sample.size == 0:
             raise ValueError(f"--input {args.input} holds no sample values")
+        finite = np.isfinite(sample)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"--input {args.input}: sample value {i} is {sample[i]}, not finite")
     else:
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
@@ -385,6 +390,7 @@ def cmd_center_oracle(args) -> int:
     print(f"mean_at_c_star={res.mean_at_c!r}")
     print(f"mean_at_c_zero={mean_at_zero!r}")
     print(f"iterations={res.iterations}")
+    print(f"evaluations={res.evaluations}")
     if res.note:
         print(f"note={res.note}")
     return 0 if res.converged else 3

@@ -53,6 +53,7 @@ STATS_FILE = "channel_stats.json"
 DATA_DIR_ENV = "ACTLAB_DATA_DIR"
 PUBLIC_SOURCE = "https://www.cs.toronto.edu/~kriz/cifar.html (CIFAR-100 binary version)"
 _SYNTH_CHUNK = 128  # samples per noise draw in write_synthetic_cifar100
+_STATS_CHUNK = 256  # samples per float64 chunk of the channel std
 
 
 @dataclass
@@ -173,7 +174,7 @@ def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) 
             return stats
     x = _unit_pixels(_read_records(train_path)) if train is None else train[1]
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    std = x.std(axis=(0, 2, 3), dtype=np.float64)
+    std = _channel_std(x, mean)
     stats = {
         "mean": [float(m) for m in mean],
         "std": [float(s) for s in std],
@@ -184,6 +185,24 @@ def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) 
     with atomic_write(sidecar) as f:
         f.write(json.dumps(stats, indent=2, sort_keys=True))
     return stats
+
+
+def _channel_std(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``x.std(axis=(0, 2, 3), dtype=np.float64)`` of a C-contiguous
+    [N, C, H, W] array, bit for bit, given its per-channel float64 mean,
+    in float64 chunks of ``_STATS_CHUNK`` samples instead of one copy of
+    all of x. numpy's sum of squared deviations is a pairwise sum over
+    each sample's H*W values per channel, added sample after sample;
+    this adds them in that order."""
+    n, c = x.shape[:2]
+    m = mean.reshape(1, c, 1, 1)
+    total = np.zeros(c)
+    for start in range(0, n, _STATS_CHUNK):
+        d = x[start : start + _STATS_CHUNK] - m
+        np.multiply(d, d, out=d)
+        for per_sample in d.reshape(d.shape[0], c, -1).sum(axis=2):
+            total += per_sample
+    return np.sqrt(total / (x.size // c))
 
 
 def load_cifar100(data_dir, split: str) -> Dataset:

@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from actlab.activations import ActivationKind, activation_eval, find_centering_anchor, zc_swish_eval
+from actlab.activations import (
+    ActivationKind,
+    activation_eval,
+    find_centering_anchor,
+    normal_quadrature,
+    zc_swish_eval,
+)
 from actlab.plainnet import PlainNet
 from actlab.tensor import Tape, Tensor, softmax_cross_entropy
 
@@ -136,6 +142,7 @@ class DriftReport:
     center: str
     sites: list[DriftSite] = field(default_factory=list)
     anchors: list[float] = field(default_factory=list)
+    anchors_converged: int = 0
     abs_mean_nondecreasing: bool = False
     spearman_abs_mean_vs_depth: float = float("nan")
 
@@ -146,9 +153,7 @@ class DriftReport:
 
 def _output_std_under_standard_normal(kind: ActivationKind) -> float:
     """Std of f(z), z ~ N(0,1), by 101-node Gauss-Hermite quadrature."""
-    nodes, weights = np.polynomial.hermite.hermgauss(101)
-    z = np.sqrt(2.0) * nodes
-    w = weights / np.sqrt(np.pi)
+    z, w = normal_quadrature()
     f = activation_eval(kind, z)
     m1 = float(np.sum(w * f))
     m2 = float(np.sum(w * f * f))
@@ -200,6 +205,7 @@ def drift_experiment(
         if center == "oracle":
             res = find_centering_anchor(pre.ravel(), beta=1.0, tol=anchor_tol)
             report.anchors.append(res.c)
+            report.anchors_converged += res.converged
             x = zc_swish_eval(pre, c=res.c, beta=1.0, g=1.0)
         else:
             x = activation_eval(kind, pre)

@@ -7,8 +7,9 @@ then contributions in row-major index order, which is what the float64
 kernels in the package promise to match bit for bit. maxpool2_argmax and
 sigmoid_masked are the index-based forms the package's maxpool2 and
 sigmoid replaced; they define the bits those two must keep,
-conv2d_im2col_nchw does the same for conv2d's GEMM kernel, and
-zc_swish_broadcast for the Tensor path of zc_swish.
+conv2d_im2col_nchw does the same for conv2d's GEMM kernel,
+zc_swish_broadcast for the Tensor path of zc_swish, and
+zc_swish_eval_one_shot for its blockwise array path.
 synthetic_records_one_shot and standardized_split_reference are the
 one-shot synthetic writer and the loader formula that the chunked writer
 and the decode-once loader must match byte for byte.
@@ -128,6 +129,15 @@ def sigmoid_masked(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def zc_swish_eval_one_shot(x, c, beta, g):
+    """zc_swish's array path as first written: the formula on the whole
+    array at once, with scalar parameters already in x's dtype."""
+    u = x - c
+    s = sigmoid_masked(beta * u)
+    q = sigmoid_masked(-(beta * c))
+    return g * (u * s + c * q)
 
 
 def zc_swish_broadcast(x, c, beta_raw, g, gout):

@@ -186,10 +186,13 @@ def test_criterion_6_oracle_centered_stack_beats_swish():
     final_swish = swish_rep.final_abs_mean
     final_zc = zc_rep.final_abs_mean
     assert final_zc < final_swish
+    # companion check: every anchor meets the solver's tolerance
+    assert zc_rep.anchors_converged == 16
     report(
         6,
         f"final |mean|: swish {final_swish:.4g} vs oracle-centered {final_zc:.4g}, "
-        f"ratio {final_swish / final_zc:.3g}x",
+        f"ratio {final_swish / final_zc:.3g}x; anchors converged {zc_rep.anchors_converged}/16, "
+        f"final std {zc_rep.sites[-1].std:.3g}",
     )
 
 

@@ -19,7 +19,7 @@ from actlab.activations import (
 )
 from actlab.tensor import ShapeError, Tape, Tensor, gradcheck, mul, tsum
 
-from oracles import rel_err, sigmoid_masked, zc_swish_broadcast
+from oracles import rel_err, sigmoid_masked, zc_swish_broadcast, zc_swish_eval_one_shot
 
 # softplus(BETA_RAW_FOR_UNIT_SLOPE) == 1 exactly in real arithmetic
 BETA_RAW_FOR_UNIT_SLOPE = 0.5413248546129181
@@ -307,6 +307,91 @@ class TestCenteringAnchor:
             find_centering_anchor(np.ones(3), beta=0.0)
         with pytest.raises(ValueError, match="tol"):
             find_centering_anchor(np.ones(3), tol=0.0)
+
+
+class TestZCSwishEvalBlocks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_with_and_without_out_match_the_one_shot_formula(self, dtype):
+        rng = np.random.default_rng(8)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e30, -1e30, 3.0, -3.0, 1e-40])
+        x = np.concatenate([specials, rng.standard_normal(131072 - specials.size) * 4.0]).astype(dtype)
+        grid = x[:39000].reshape(300, 130)
+        cases = [np.asarray(x[3]), x[:1], x[:8191], x[:8192], x[:8193], x, grid.T[::2, 1::3]]
+        with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) is NaN on both sides
+            for case in cases:
+                want = zc_swish_eval_one_shot(case, dtype(0.3), dtype(1.7), dtype(-1.25))
+                got = zc_swish_eval(case, c=0.3, beta=1.7, g=-1.25)
+                assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+                np.testing.assert_array_equal(np.asarray(got).view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+                buf = np.empty_like(case)
+                into = zc_swish_eval(case, c=0.3, beta=1.7, g=-1.25, out=buf)
+                assert into is buf and into.dtype == want.dtype and into.shape == want.shape
+                np.testing.assert_array_equal(into.view(f"u{into.itemsize}"), want.view(f"u{want.itemsize}"))
+
+    def test_out_of_another_shape_or_dtype_rejected(self):
+        x = np.zeros(10)
+        with pytest.raises(ValueError, match="out must have shape"):
+            zc_swish_eval(x, out=np.empty(9))
+        with pytest.raises(ValueError, match="out must have shape"):
+            zc_swish_eval(x, out=np.empty(10, dtype=np.float32))
+
+
+class TestAnchorSolver:
+    def test_narrow_gaussian_root_beyond_ten_std_converges(self):
+        # std 0.1: the roots lie near +-2.4/beta, outside +-10*std
+        sample = np.random.default_rng(3).standard_normal(10_000) * 0.1
+        res = find_centering_anchor(sample, beta=1.0, tol=1e-9)
+        assert res.converged and abs(res.mean_at_c) < 1e-9
+        assert abs(res.c) > 1.0 and res.evaluations >= res.iterations
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            find_centering_anchor(np.ones(3), beta=beta)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            find_centering_anchor(np.ones(3), tol=tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_value_rejected_by_index(self, bad):
+        sample = np.array([0.5, -1.0, 2.0, bad, 1.0, bad])
+        with pytest.raises(ValueError, match=f"sample value at index 3 is {bad}, not finite"):
+            find_centering_anchor(sample)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    mean=st.floats(-1.0, 1.0),
+    std=st.floats(1e-3, 10.0),
+    beta=st.floats(0.25, 4.0),
+    n=st.integers(2, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_anchor_meets_tol_and_keeps_std_when_a_root_does(mean, std, beta, n, seed):
+    tol = 1e-9
+    sample = np.random.default_rng(seed).standard_normal(n) * std + mean
+    res = find_centering_anchor(sample, beta=beta, tol=tol)
+    if res.converged:
+        assert abs(res.mean_at_c) < tol
+    else:
+        assert res.note
+
+    def out_std(c):
+        return float(np.std(zc_swish_eval(sample, c=c, beta=beta, g=1.0)))
+
+    # The sign changes of the sample mean on a fine grid of c. A root keeps
+    # std when the output keeps at least a quarter of the input's (about
+    # half to all of it); a squashing root keeps a few percent. Of two or
+    # more roots, one that keeps std must be the one found.
+    span = max(10.0 * float(sample.std()), 8.0 / beta)
+    grid = np.linspace(-span, span, 1025)
+    means = np.array([np.mean(zc_swish_eval(sample, c=c, beta=beta, g=1.0)) for c in grid])
+    roots = 0.5 * (grid[:-1] + grid[1:])[np.sign(means[:-1]) != np.sign(means[1:])]
+    keeps = 0.25 * float(sample.std())
+    if roots.size >= 2 and max(out_std(c) for c in roots) >= keeps:
+        assert res.converged and out_std(res.c) >= keeps
 
 
 def test_swish_mean_shift_is_positive_on_zero_mean_gaussians():

@@ -322,6 +322,12 @@ class TestDriftCommand:
         assert len(lines) == 5
         assert "final |mean|" in capsys.readouterr().out
 
+    def test_oracle_summary_counts_converged_anchors(self, tmp_path, capsys):
+        out = tmp_path / "drift_zc.csv"
+        rc = run_cli("drift", "--activation", "zcswish", "--center", "oracle", "--depth", "4", "--width", "32", "--samples", "256", "--out", out)
+        assert rc == 0
+        assert "anchors converged: 4/4" in capsys.readouterr().out.splitlines()
+
     def test_zero_input_summary(self, tmp_path, capsys):
         out = tmp_path / "drift0.csv"
         rc = run_cli("drift", "--activation", "gelu", "--depth", "3", "--width", "16", "--samples", "64", "--input-dist", "zeros", "--out", out)
@@ -370,6 +376,27 @@ class TestCenterOracleCommand:
         rc = run_cli("center-oracle", "--input", sample)
         assert rc == 1
         assert f"--input {sample} holds no sample values" in capsys.readouterr().err
+
+
+    def test_evaluation_count_printed(self, capsys):
+        rc = run_cli("center-oracle", "--samples", "1000", "--seed", "3")
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert int([l for l in lines if l.startswith("evaluations=")][0].split("=")[1]) >= 2
+
+    @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"), ("--tol", "nan")])
+    def test_non_finite_solver_argument_refused_naming_it(self, flag, value, capsys):
+        rc = run_cli("center-oracle", "--samples", "100", flag, value)
+        assert rc == 1
+        assert f"{flag[2:]} must be positive and finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_input_value_refused_naming_the_path(self, bad, tmp_path, capsys, no_solve):
+        sample = tmp_path / "sample.txt"
+        sample.write_text(f"0.5\n# comment\n-1.25\n{bad}\n2.0\n")
+        rc = run_cli("center-oracle", "--input", sample)
+        assert rc == 1
+        assert f"--input {sample}: sample value 2 is {bad}, not finite" in capsys.readouterr().err
 
 
 def test_byte_identical_outputs_across_reruns(tmp_path):

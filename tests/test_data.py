@@ -257,6 +257,15 @@ class TestSynthetic:
         assert acc > 0.9
 
 
+@pytest.mark.parametrize("n", [1, data._STATS_CHUNK - 1, data._STATS_CHUNK, data._STATS_CHUNK + 1, 600])
+def test_chunked_channel_std_has_numpys_bits(n):
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 256, (n, 3, 32, 32)).astype(np.float32) / np.float32(255.0)
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+    want = x.std(axis=(0, 2, 3), dtype=np.float64)
+    assert data._channel_std(x, mean).tobytes() == want.tobytes()
+
+
 CHUNK = data._SYNTH_CHUNK
 
 

@@ -13,6 +13,8 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import actlab
+import actlab.activations as activations
+import actlab.probes as probes
 from actlab.activations import ActivationKind
 from actlab.plainnet import PlainNetConfig, build
 from actlab.probes import DriftReport, _spearman, drift_experiment, grad_norm, layer_stats
@@ -162,6 +164,32 @@ class TestDriftExperiment:
         zc_rep = drift_experiment("zcswish", depth=8, width=96, samples=1024, seed=42, center="oracle")
         assert zc_rep.final_abs_mean < swish_rep.final_abs_mean
         assert len(zc_rep.anchors) == 8
+        assert zc_rep.anchors_converged == 8
+
+    @pytest.mark.parametrize("seed", [480, 481, 482, 483])
+    def test_oracle_solves_take_at_most_20_sample_evaluations(self, seed, monkeypatch):
+        # every sample-mean evaluation is one zc_swish_eval call through the
+        # activations module, which a wrapper there counts
+        calls = []
+        evaluate, solve = activations.zc_swish_eval, probes.find_centering_anchor
+
+        def counted_eval(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            before = len(calls)
+            res = solve(*args, **kwargs)
+            assert len(calls) - before == res.evaluations
+            per_site.append(res.evaluations)
+            return res
+
+        per_site = []
+        monkeypatch.setattr(activations, "zc_swish_eval", counted_eval)
+        monkeypatch.setattr(probes, "find_centering_anchor", counted_solve)
+        rep = drift_experiment("zcswish", depth=16, width=256, samples=512, seed=seed, center="oracle")
+        assert len(per_site) == 16 and max(per_site) <= 20
+        assert rep.anchors_converged == 16
 
     def test_report_shape_and_fields(self):
         report = drift_experiment("gelu", depth=5, width=32, samples=256, seed=3)

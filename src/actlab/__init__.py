@@ -15,7 +15,7 @@ from actlab.activations import (
 )
 from actlab.config import ExperimentConfig
 from actlab.data import Dataset, load_cifar100, subset, write_synthetic_cifar100
-from actlab.plainnet import PlainNet, PlainNetConfig, audit, build, count_params
+from actlab.plainnet import PlainNet, PlainNetConfig, build, count_params
 from actlab.probes import drift_experiment, layer_stats
 from actlab.tensor import ShapeError, Tape, Tensor, gradcheck
 from actlab.trainer import AdamW, RunRecord, evaluate, train
@@ -35,7 +35,6 @@ __all__ = [
     "Tensor",
     "ZCSwishParams",
     "apply_activation",
-    "audit",
     "build",
     "count_params",
     "drift_experiment",

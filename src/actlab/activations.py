@@ -457,7 +457,11 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
 
     mu, sd = float(sample.mean()), float(sample.std())
     if sd == 0.0:
+        # a constant (or subnormal-spread) sample: no bracket to predict,
+        # but c = 0 may already be within tol
         f0 = mean_at(0.0)
+        if abs(f0) < tol:
+            return result(0.0, f0, True, (0.0, 0.0), 0)
         return result(0.0, f0, False, (0.0, 0.0), 0, "degenerate constant sample, empty bracket")
 
     span = max(10.0 * sd, 8.0 / beta)

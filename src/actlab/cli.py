@@ -34,7 +34,7 @@ from actlab.activations import (
 )
 from actlab.config import PRESETS, ExperimentConfig
 from actlab.data import DATA_DIR_ENV, atomic_write, default_data_dir, load_cifar100, subset
-from actlab.plainnet import PlainNetConfig, build, count_params
+from actlab.plainnet import DEPTH_LAYOUTS, PlainNetConfig, build, count_params
 from actlab.probes import drift_experiment
 from actlab.tensor import (
     Tensor,
@@ -102,7 +102,6 @@ def _merge_config(args) -> ExperimentConfig:
         "test_per_class": args.per_class,
         "data_dir": args.data_dir,
         "out_dir": args.out,
-        "precision": args.precision,
         "seeds": None if args.seeds is None else _parse_list("--seeds", args.seeds, int, "an integer"),
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -285,7 +284,7 @@ def run_gradcheck_suite(dtype=np.float64, seed: int = 0) -> dict[str, float]:
 
 def cmd_gradcheck(args) -> int:
     dtype = np.float64 if args.dtype == 64 else np.float32
-    tol = args.tol if args.tol is not None else (1e-5 if args.dtype == 64 else 1e-2)
+    tol = 1e-5 if args.dtype == 64 else 1e-2
     errors = run_gradcheck_suite(dtype=dtype, seed=args.seed)
     failed = []
     print(f"{'op':<24}{'max rel err':>14}   result (tol {tol:g}, {args.dtype}-bit)")
@@ -342,7 +341,6 @@ def cmd_drift(args) -> int:
         width=args.width,
         seed=args.seed,
         samples=args.samples,
-        input_dist=args.input_dist,
         center=args.center,
     )
     out = Path(args.out)
@@ -408,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a PlainNet and record everything")
     t.add_argument("--preset", choices=sorted(PRESETS), help="named recipe applied before file/flag overrides")
     t.add_argument("--config", help="JSON config file (flags still override)")
-    t.add_argument("--depth", type=int, choices=(8, 16, 32))
+    t.add_argument("--depth", type=int, choices=sorted(DEPTH_LAYOUTS))
     t.add_argument("--width-divisor", type=int, dest="width_divisor")
     t.add_argument("--activation", choices=[k.value for k in ActivationKind])
     t.add_argument("--epochs", type=int)
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seeds", help="comma-separated seed list, e.g. 42,0,12345")
     t.add_argument("--per-class", type=int, dest="per_class", help="balanced subset size per class (train and test)")
     t.add_argument("--data-dir", dest="data_dir", help=f"CIFAR-100 binary directory (default: ${DATA_DIR_ENV})")
-    t.add_argument("--precision", choices=("float32", "float64"))
     t.add_argument("--out", help="output directory (default derives from the config)")
     t.set_defaults(fn=cmd_train)
 
@@ -432,12 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gradcheck", help="finite-difference check of every op")
     g.add_argument("--dtype", type=int, choices=(32, 64), default=64)
-    g.add_argument("--tol", type=float, default=None)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(fn=cmd_gradcheck)
 
     pa = sub.add_parser("params", help="exact parameter-count table")
-    pa.add_argument("--depth", type=int, choices=(8, 16, 32), default=16)
+    pa.add_argument("--depth", type=int, choices=sorted(DEPTH_LAYOUTS), default=16)
     pa.add_argument("--activation", choices=[k.value for k in ActivationKind], default="relu")
     pa.add_argument("--width-divisor", type=int, dest="width_divisor", default=1)
     pa.add_argument("--expect", help="TOTAL[:ACTIVATION] integers to assert, e.g. 15041316:12672")
@@ -449,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--width", type=int, default=256)
     d.add_argument("--seed", type=int, default=42)
     d.add_argument("--samples", type=int, default=4096)
-    d.add_argument("--input-dist", choices=("normal", "zeros", "uniform"), default="normal", dest="input_dist")
     d.add_argument("--center", choices=("default", "oracle"), default="default")
     d.add_argument("--out", default="drift.csv")
     d.set_defaults(fn=cmd_drift)

@@ -6,10 +6,11 @@ for byte (deterministic kernels plus seeded generators everywhere).
 
 The config holds what varies between runs: the model's size and
 activation, the data, the epochs, batch size and seeds. The training
-recipe itself is fixed in code: the AdamW constants live in
-:mod:`actlab.trainer` and the dropout rate in :mod:`actlab.plainnet`.
-Schema version 2 dropped the recipe's fields; a version-1 file is
-refused, not migrated.
+recipe itself is fixed in code: the AdamW constants, the probe batch
+size and float32 training live in :mod:`actlab.trainer` and the dropout
+rate in :mod:`actlab.plainnet`. Schema version 2 dropped the recipe's
+fields and version 3 dropped ``precision`` and ``probe_batch``; a file
+of an older version is refused, not migrated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from actlab.plainnet import PlainNetConfig
 
 __all__ = ["SCHEMA_VERSION", "ExperimentConfig", "PRESETS"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _is_int(v) -> bool:
@@ -55,8 +56,6 @@ class ExperimentConfig:
     epochs: int = 30
     batch_size: int = 128
     seeds: list[int] = field(default_factory=lambda: [42])
-    probe_batch: int = 256
-    precision: str = "float32"
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -66,11 +65,9 @@ class ExperimentConfig:
             if not accepts(value):
                 raise ValueError(f"{f.name} must be {expected}, got {value!r}")
         ActivationKind.parse(self.activation)  # fail fast on typos
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(f"precision must be float32 or float64, got {self.precision!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("num_classes", "batch_size", "probe_batch", "train_per_class", "test_per_class"):
+        for name in ("num_classes", "batch_size", "train_per_class", "test_per_class"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")

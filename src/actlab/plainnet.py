@@ -3,8 +3,9 @@
 A PlainNet is a pure sequence of 3x3 same-padding convolutions, per-conv
 activations, five 2x2 max pools, then a two-layer fully connected head
 (Linear -> ReLU -> Dropout at rate ``DROPOUT_P`` -> Linear). There is
-no normalization layer and no skip junction anywhere, by construction;
-:func:`audit` walks a built model and certifies that.
+no normalization layer and no skip junction anywhere, by construction:
+:func:`build` emits a flat list of six layer kinds, each applied to the
+previous one's output.
 
 Depth 16 is the canonical configuration: conv channels
 [64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512] with
@@ -38,7 +39,6 @@ __all__ = [
     "ParamCountReport",
     "build",
     "count_params",
-    "audit",
 ]
 
 INPUT_CHANNELS = 3
@@ -96,19 +96,11 @@ class PlainNetConfig:
 
 
 @dataclass
-class ConvLayer:
+class WeightLayer:
     name: str
+    kind: str  # "conv" or "linear"
     weight: Tensor
     bias: Tensor
-    kind: str = field(default="conv", init=False)
-
-
-@dataclass
-class LinearLayer:
-    name: str
-    weight: Tensor
-    bias: Tensor
-    kind: str = field(default="linear", init=False)
 
 
 @dataclass
@@ -120,24 +112,9 @@ class ActivationSite:
 
 
 @dataclass
-class PoolLayer:
+class Layer:
     name: str
-    kind: str = field(default="maxpool", init=False)
-
-
-@dataclass
-class FlattenLayer:
-    name: str
-    kind: str = field(default="flatten", init=False)
-
-
-@dataclass
-class DropoutLayer:
-    name: str
-    kind: str = field(default="dropout", init=False)
-
-
-ALLOWED_LAYER_KINDS = {"conv", "linear", "activation", "maxpool", "flatten", "dropout"}
+    kind: str  # "maxpool", "flatten" or "dropout"
 
 
 class PlainNet:
@@ -236,8 +213,9 @@ def build(config: PlainNetConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE)
     for i, out_c in enumerate(channels, start=1):
         name = f"conv{i}"
         layers.append(
-            ConvLayer(
+            WeightLayer(
                 name,
+                "conv",
                 weight=_uniform_fan_in(rng, (out_c, in_c, 3, 3), in_c * 9, dtype),
                 bias=_uniform_fan_in(rng, (out_c,), in_c * 9, dtype),
             )
@@ -245,18 +223,21 @@ def build(config: PlainNetConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE)
         params = ZCSwishParams.initial(out_c, dtype=dtype) if zc else None
         layers.append(ActivationSite(f"act{i}", config.activation, params))
         if i in pool_after:
-            layers.append(PoolLayer(f"pool{i}"))
+            layers.append(Layer(f"pool{i}", "maxpool"))
         in_c = out_c
-    layers.append(FlattenLayer("flatten"))
+    layers.append(Layer("flatten", "flatten"))
     hw = config.head_width
     layers.append(
-        LinearLayer("fc1", weight=_uniform_fan_in(rng, (hw, hw), hw, dtype), bias=_uniform_fan_in(rng, (hw,), hw, dtype))
+        WeightLayer(
+            "fc1", "linear", weight=_uniform_fan_in(rng, (hw, hw), hw, dtype), bias=_uniform_fan_in(rng, (hw,), hw, dtype)
+        )
     )
     layers.append(ActivationSite("act_fc1", ActivationKind.RELU, None))
-    layers.append(DropoutLayer("drop_fc1"))
+    layers.append(Layer("drop_fc1", "dropout"))
     layers.append(
-        LinearLayer(
+        WeightLayer(
             "fc2",
+            "linear",
             weight=_uniform_fan_in(rng, (config.num_classes, hw), hw, dtype),
             bias=_uniform_fan_in(rng, (config.num_classes,), hw, dtype),
         )
@@ -296,24 +277,3 @@ def count_params(model: PlainNet) -> ParamCountReport:
     total = sum(per_layer.values())
     return ParamCountReport(total=total, activation_params=activation, per_layer=list(per_layer.items()))
 
-
-def audit(model: PlainNet) -> dict:
-    """Walk the model and certify its structure.
-
-    Confirms that every layer is one of the allowed plain kinds (so there
-    is no normalization of any sort) and that the graph is a single
-    sequential chain (so there is no additive skip junction). Raises on
-    violation, returns a summary otherwise.
-    """
-    kind_counts: dict[str, int] = {}
-    for layer in model.layers:
-        if layer.kind not in ALLOWED_LAYER_KINDS:
-            raise ValueError(f"forbidden layer kind {layer.kind!r} in model")
-        kind_counts[layer.kind] = kind_counts.get(layer.kind, 0) + 1
-    return {
-        "layer_kinds": kind_counts,
-        "normalization_layers": 0,
-        "skip_connections": 0,
-        "sequential_chain": True,
-        "activation_sites": len(model.activation_sites()),
-    }

@@ -166,12 +166,13 @@ def drift_experiment(
     width: int = 256,
     seed: int = 0,
     samples: int = 4096,
-    input_dist: str = "normal",
     center: str = "default",
     anchor_tol: float = 1e-9,
 ) -> DriftReport:
     """Activation mean and std at every depth position of a fresh stack.
 
+    The input is ``samples`` rows of ``width`` standard normal values,
+    drawn from the seeded generator before the stack's weights.
     ``center="oracle"`` applies only to zcswish and re-anchors every site
     on its own pre-activation sample, at beta = g = 1; ``center="default"``
     uses the initial parameter triple everywhere.
@@ -185,14 +186,7 @@ def drift_experiment(
     if center == "oracle" and kind is not ActivationKind.ZCSWISH:
         raise ValueError("oracle centering only applies to zcswish")
     rng = np.random.default_rng(seed)
-    if input_dist == "normal":
-        x = rng.standard_normal((samples, width))
-    elif input_dist == "zeros":
-        x = np.zeros((samples, width))
-    elif input_dist == "uniform":
-        x = rng.uniform(-1.0, 1.0, size=(samples, width))
-    else:
-        raise ValueError(f"input_dist must be normal, zeros or uniform, got {input_dist!r}")
+    x = rng.standard_normal((samples, width))
 
     # scale the init bound so one (linear, activation) pair roughly
     # preserves variance; without this, 16 sites of swish-family gain

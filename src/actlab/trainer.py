@@ -4,7 +4,8 @@ The recipe is fixed in this module, not in the config: AdamW at the
 constant learning rate ``LR`` from step one, betas ``BETA1``/``BETA2``,
 ``EPS``, and decoupled weight decay ``WEIGHT_DECAY`` on every parameter,
 the zc_swish triples included, with no gradient rescue of any kind.
-Divergence is data here, so non-finite losses or gradients are flagged
+Training runs in float32, and layer statistics come from a fixed probe
+batch of ``PROBE_BATCH`` training images. Divergence is data here, so non-finite losses or gradients are flagged
 in the run record and logged, and the run keeps going; only
 infrastructure errors abort.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "BETA1",
     "BETA2",
     "EPS",
+    "PROBE_BATCH",
     "AdamW",
     "EpochRecord",
     "StepRecord",
@@ -48,6 +50,8 @@ LR = 1e-3
 WEIGHT_DECAY = 5e-4
 BETA1, BETA2 = 0.9, 0.999
 EPS = 1e-8
+
+PROBE_BATCH = 256  # training images in the fixed layer-stats probe batch
 
 
 class AdamW:
@@ -183,14 +187,13 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     ``config.epochs`` passes of AdamW with per-epoch evaluation and
     layer statistics on a fixed probe batch."""
     seed = config.seeds[0] if seed is None else seed
-    dtype = np.float32 if config.precision == "float32" else np.float64
-    model = build(config.model_config(), np.random.default_rng([seed, RNG_INIT]), dtype=dtype)
+    model = build(config.model_config(), np.random.default_rng([seed, RNG_INIT]), dtype=np.float32)
     report = count_params(model)
     dropout_rng = np.random.default_rng([seed, RNG_DROPOUT])
     probe_rng = np.random.default_rng([seed, RNG_PROBE])
-    probe_n = min(config.probe_batch, len(train_ds))
+    probe_n = min(PROBE_BATCH, len(train_ds))
     probe_idx = probe_rng.choice(len(train_ds), size=probe_n, replace=False)
-    probe_images = train_ds.images[probe_idx].astype(dtype, copy=False)
+    probe_images = train_ds.images[probe_idx].astype(np.float32, copy=False)
     probe_labels = train_ds.fine_labels[probe_idx]
 
     opt = AdamW(model.parameters())
@@ -216,7 +219,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
         plan = BatchPlan(seed=seed, batch_size=config.batch_size, epoch=epoch)
         for images, labels in batches(train_ds, plan):
             step += 1
-            x = Tensor(images.astype(dtype, copy=False))
+            x = Tensor(images.astype(np.float32, copy=False))
             model.zero_grad()
             with Tape() as tape:
                 logits = model.forward(x, training=True, rng=dropout_rng)

@@ -6,7 +6,8 @@ the measured numbers (visible with ``-s`` or ``-rA``).
 
 Criterion 10 (full-scale accuracy tables, the epoch-13 loss spike) is
 declared not reproducible at desk scale and is represented by an opt-in
-stretch check: set ACTLAB_RUN_STRETCH=1 or use scripts/depth16_stretch.py.
+stretch check: set ACTLAB_RUN_STRETCH=1, or run
+``scripts/desk_suite.py --depth 16 --epochs 10 --activations relu,zcswish``.
 """
 
 import json
@@ -277,7 +278,7 @@ def test_criterion_9_batch_independence_bitwise():
 @pytest.mark.skipif(
     not os.environ.get("ACTLAB_RUN_STRETCH"),
     reason="full-scale accuracy tables need 30-epoch GPU runs; directional stretch is opt-in "
-    "(ACTLAB_RUN_STRETCH=1 or scripts/depth16_stretch.py)",
+    "(ACTLAB_RUN_STRETCH=1 or scripts/desk_suite.py --depth 16 --epochs 10 --activations relu,zcswish)",
 )
 def test_criterion_10_depth16_directional_stretch(tmp_path):
     """Non-blocking: at depth 16, width/8, 10 desk epochs, zcswish's best

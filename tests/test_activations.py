@@ -302,6 +302,15 @@ class TestCenteringAnchor:
         assert not res.converged
         assert "bracket" in res.note or "sign change" in res.note
 
+    def test_tiny_spread_sample_already_centered_at_zero_converges(self):
+        # the std of these values underflows to 0, as a constant sample's
+        # is, but their mean at c = 0 is already far below tol
+        res = find_centering_anchor(np.array([1e-200, -1e-200, 3e-200]), beta=1.0, tol=1e-8)
+        assert res.converged
+        assert res.c == 0.0
+        assert abs(res.mean_at_c) < 1e-8
+        assert res.note == ""
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             find_centering_anchor(np.ones(3), beta=0.0)

@@ -22,7 +22,7 @@ def run_cli(*argv):
 
 
 def base_train_args(data_dir, out, **extra):
-    cfg = {"num_classes": 10, "probe_batch": 16}
+    cfg = {"num_classes": 10}
     cfg.update(extra)
     cfg_path = out.parent / f"{out.name}_base.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -58,7 +58,7 @@ class TestTrainCommand:
             assert (out / "seed_42" / fname).exists()
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["activation"] == "zcswish"
-        assert cfg["schema_version"] == 2
+        assert cfg["schema_version"] == 3
         assert not {"lr", "weight_decay", "beta1", "beta2", "eps", "decay_activation_params", "dropout_p"} & set(cfg)
 
     def test_epochs_zero_is_chance_level_eval(self, data_dir, tmp_path):
@@ -129,11 +129,10 @@ class TestTrainCommand:
             ({"depth": 12}, [], "depth"),
             ({}, ["--width-divisor", "7"], "width_divisor"),
             ({}, ["--per-class", "0"], "train_per_class"),
-            ({"probe_batch": 0}, [], "probe_batch"),
         ],
     )
     def test_invalid_config_value_nonzero_exit_naming_field(self, data_dir, tmp_path, capsys, bad, flags, field):
-        cfg = {"num_classes": 10, "probe_batch": 16, "depth": 8, "width_divisor": 8, "epochs": 1, "batch_size": 16}
+        cfg = {"num_classes": 10, "depth": 8, "width_divisor": 8, "epochs": 1, "batch_size": 16}
         cfg.update(bad)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -156,6 +155,22 @@ class TestTrainCommand:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(v1, indent=2, sort_keys=True) + "\n")
         out = tmp_path / "runv1"
+        rc = run_cli("train", "--config", cfg_path, "--out", out)
+        assert rc == 1
+        assert "schema_version" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schema_v2_config_refused_naming_schema_version(self, data_dir, tmp_path, capsys):
+        # a config.json as schema version 2 wrote it: the probe batch size
+        # and the precision were still config fields then
+        v2 = {
+            "schema_version": 2, "depth": 8, "width_divisor": 8, "activation": "relu", "num_classes": 10,
+            "data_dir": str(data_dir), "train_per_class": 4, "test_per_class": 4, "epochs": 1,
+            "batch_size": 16, "seeds": [42], "probe_batch": 256, "precision": "float32", "out_dir": None,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(v2, indent=2, sort_keys=True) + "\n")
+        out = tmp_path / "runv2"
         rc = run_cli("train", "--config", cfg_path, "--out", out)
         assert rc == 1
         assert "schema_version" in capsys.readouterr().err
@@ -327,13 +342,6 @@ class TestDriftCommand:
         rc = run_cli("drift", "--activation", "zcswish", "--center", "oracle", "--depth", "4", "--width", "32", "--samples", "256", "--out", out)
         assert rc == 0
         assert "anchors converged: 4/4" in capsys.readouterr().out.splitlines()
-
-    def test_zero_input_summary(self, tmp_path, capsys):
-        out = tmp_path / "drift0.csv"
-        rc = run_cli("drift", "--activation", "gelu", "--depth", "3", "--width", "16", "--samples", "64", "--input-dist", "zeros", "--out", out)
-        assert rc == 0
-        rows = out.read_text().strip().split("\n")[1:]
-        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
 class TestCenterOracleCommand:

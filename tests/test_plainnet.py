@@ -1,5 +1,7 @@
 """Architecture construction, exact parameter counts, batch independence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from actlab.activations import ActivationKind
 from actlab.plainnet import (
     DEPTH_LAYOUTS,
     PlainNetConfig,
-    audit,
     build,
     count_params,
 )
@@ -246,10 +247,11 @@ def test_desk_step_gradients_keep_the_bits_of_plain_sums(activation, monkeypatch
 class TestAuditAndCheckpoint:
     def test_audit_certifies_plain_structure(self):
         model = build(PlainNetConfig(depth=16, activation=ActivationKind.ZCSWISH), np.random.default_rng(0))
-        summary = audit(model)
-        assert summary["normalization_layers"] == 0
-        assert summary["skip_connections"] == 0
-        assert summary["layer_kinds"]["conv"] == 13
-        assert summary["layer_kinds"]["maxpool"] == 5
-        assert summary["layer_kinds"]["linear"] == 2
-        assert summary["activation_sites"] == 14  # 13 conv sites + head relu
+        kinds = Counter(layer.kind for layer in model.layers)
+        # six plain kinds only: no normalization layer, and a flat list
+        # has no skip junction
+        assert set(kinds) <= {"conv", "linear", "activation", "maxpool", "flatten", "dropout"}
+        assert kinds["conv"] == 13
+        assert kinds["maxpool"] == 5
+        assert kinds["linear"] == 2
+        assert kinds["activation"] == len(model.activation_sites()) == 14  # 13 conv sites + head relu

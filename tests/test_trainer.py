@@ -105,7 +105,6 @@ def tiny_config(**kw):
         epochs=1,
         batch_size=8,
         seeds=[42],
-        probe_batch=16,
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -324,8 +323,6 @@ class TestExperimentConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError, match="unknown activation"):
             ExperimentConfig(activation="mish")
-        with pytest.raises(ValueError, match="precision"):
-            ExperimentConfig(precision="float16")
         with pytest.raises(ValueError, match="epochs"):
             ExperimentConfig(epochs=-1)
         with pytest.raises(ValueError, match="seeds must be a list of integers"):

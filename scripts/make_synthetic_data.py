@@ -17,7 +17,6 @@ def main():
     p.add_argument("--test-per-class", type=int, default=20)
     p.add_argument("--classes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--signal-weight", type=float, default=0.85, help="prototype vs noise mix in [0,1]")
     args = p.parse_args()
     write_synthetic_cifar100(
         args.out,
@@ -25,7 +24,6 @@ def main():
         test_per_class=args.test_per_class,
         num_classes=args.classes,
         seed=args.seed,
-        signal_weight=args.signal_weight,
     )
     n_train = args.train_per_class * args.classes
     n_test = args.test_per_class * args.classes

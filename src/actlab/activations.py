@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from actlab.tensor import DEFAULT_DTYPE, ShapeError, Tensor, channel_sum, record_op
+from actlab.tensor import DEFAULT_DTYPE, ShapeError, Tensor, channel_sum, channel_tile, record_op, same_dtype
 
 __all__ = [
     "ActivationKind",
@@ -210,7 +210,10 @@ _DX = {ActivationKind.RELU: _relu_dx, ActivationKind.GELU: _gelu_dx, ActivationK
 def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     """Per-channel zero-centered swish, recorded with all four gradients.
 
-    x is [N, C] or [N, C, H, W] with C equal to ``params.channels``.
+    x is [N, C] or [N, C, H, W] with C equal to ``params.channels`` and
+    the triple's dtype; mixed dtypes are refused, as by conv2d and linear.
+    ``c``, ``beta`` and ``g`` enter the elementwise ops as one-sample
+    tiles in x's memory layout (:func:`~actlab.tensor.channel_tile`).
     Parameter gradients are summed over the batch and spatial positions.
     The per-channel constant c * sigmoid(-beta*c) is recomputed on every
     call, because the parameters move every optimization step.
@@ -220,24 +223,12 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     channels = x.shape[1]
     if channels != params.channels:
         raise ShapeError(f"channel mismatch: input has C={channels}, params carry C={params.channels}")
+    same_dtype(x, *params.tensors())
 
     d = x.data
-    dt = d.dtype
-    view = (1, -1) if d.ndim == 2 else (1, -1, 1, 1)
-    c = params.c.data.astype(dt, copy=False)
-    beta = softplus(params.beta_raw.data.astype(dt, copy=False))
-    gain = params.g.data.astype(dt, copy=False)
-
-    def tile(p: np.ndarray) -> np.ndarray:
-        # One sample of per-channel values in d's own memory layout, so each
-        # elementwise op's inner loop runs over a whole sample rather than C
-        # elements (for channels-last d). The values, and so the bits, are
-        # those of the (1, C, 1, 1) broadcast.
-        t = np.empty_like(d, shape=(1,) + d.shape[1:])
-        t[...] = p.reshape(view)
-        return t
-
-    c_t, beta_t, gain_t = tile(c), tile(beta), tile(gain)
+    c, gain = params.c.data, params.g.data
+    beta = softplus(params.beta_raw.data)
+    c_t, beta_t, gain_t = (channel_tile(p, d) for p in (c, beta, gain))
     out, (s, q, core) = _zc_swish(d, c_t, beta_t, gain_t)
     q = q[0] if q.ndim == 2 else q[0, :, 0, 0]  # per channel
 
@@ -265,7 +256,7 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
             main = channel_sum(gout * gain_t * (u * u * sp))
             const = gsum * gain * (c * c * qp)
             dbeta = main - const
-            params.beta_raw.grad += dbeta * sigmoid(params.beta_raw.data.astype(dt, copy=False))
+            params.beta_raw.grad += dbeta * sigmoid(params.beta_raw.data)
         if need_g:
             params.g.grad += channel_sum(gout * core)
 
@@ -372,7 +363,6 @@ class CenteringResult:
     c: float
     mean_at_c: float
     converged: bool
-    bracket: tuple[float, float]
     iterations: int
     note: str = ""
     evaluations: int = 0
@@ -448,12 +438,12 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
             closest = (c, f)
         return f
 
-    def result(c, f, converged, bracket, iterations, note=""):
-        return CenteringResult(c, f, converged, bracket, iterations, note, evaluations)
+    def result(c, f, converged, iterations, note=""):
+        return CenteringResult(c, f, converged, iterations, note, evaluations)
 
     if np.all(sample == 0.0):
         # f(0) == 0 for every parameter choice, so any anchor works.
-        return result(0.0, 0.0, True, (0.0, 0.0), 0, "all-zero sample, mean is 0 for any c")
+        return result(0.0, 0.0, True, 0, "all-zero sample, mean is 0 for any c")
 
     mu, sd = float(sample.mean()), float(sample.std())
     if sd == 0.0:
@@ -461,8 +451,8 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
         # but c = 0 may already be within tol
         f0 = mean_at(0.0)
         if abs(f0) < tol:
-            return result(0.0, f0, True, (0.0, 0.0), 0)
-        return result(0.0, f0, False, (0.0, 0.0), 0, "degenerate constant sample, empty bracket")
+            return result(0.0, f0, True, 0)
+        return result(0.0, f0, False, 0, "degenerate constant sample, empty bracket")
 
     span = max(10.0 * sd, 8.0 / beta)
     grid = np.linspace(-span, span, _GRID_POINTS)
@@ -566,8 +556,7 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
     candidates.sort(key=lambda cand: (-cand[0], cand[1]))
     if not candidates:
         mean_at(float(grid[np.argmin(np.abs(pm))]))
-        return result(*closest, False, (-span, span), 0,
-                      f"no sign change of the predicted mean on [{-span:.6g}, {span:.6g}]")
+        return result(*closest, False, 0, f"no sign change of the predicted mean on [{-span:.6g}, {span:.6g}]")
     for _, _, check, i in candidates[:_MAX_CANDIDATES]:
         found = check(i)
         if found is None:
@@ -577,9 +566,9 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
             lo, f_lo, hi, f_hi = hi, f_hi, lo, f_lo
         c, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
         if abs(f) < tol:
-            return result(c, f, True, (lo, hi), 0)
+            return result(c, f, True, 0)
         return _brent(mean_at, lo, hi, f_lo, f_hi, tol, result)
-    return result(*closest, False, (-span, span), 0,
+    return result(*closest, False, 0,
                   f"no sign change of the sample mean near the predicted roots on [{-span:.6g}, {span:.6g}]")
 
 
@@ -597,13 +586,12 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, result) -> C
         if abs(f_blk) < abs(f_cur):
             pre, cur, blk = cur, blk, cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        bracket = (min(cur, blk), max(cur, blk))
         if abs(f_cur) < tol:
-            return result(cur, f_cur, True, bracket, it - 1)
+            return result(cur, f_cur, True, it - 1)
         delta = 2.0 * np.finfo(np.float64).eps * max(abs(cur), 1.0)
         s_bis = 0.5 * (blk - cur)
         if abs(s_bis) < delta:
-            return result(cur, f_cur, False, bracket, it - 1, "bracket shrank to float resolution")
+            return result(cur, f_cur, False, it - 1, "bracket shrank to float resolution")
         if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
             if pre == blk:  # secant
                 s_try = -f_cur * (cur - pre) / (f_cur - f_pre)
@@ -620,8 +608,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, result) -> C
         pre, f_pre = cur, f_cur
         cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
         f_cur = f(cur)
-    bracket = (min(cur, blk), max(cur, blk))
-    return result(cur, f_cur, abs(f_cur) < tol, bracket, _MAX_ITERATIONS, "iteration cap reached")
+    return result(cur, f_cur, abs(f_cur) < tol, _MAX_ITERATIONS, "iteration cap reached")
 
 
 def activation_curves(xs) -> dict[str, np.ndarray]:

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from actlab.activations import (
+    C_INIT,
     ActivationKind,
     ZCSwishParams,
     activation_curves,
@@ -163,8 +164,8 @@ def cmd_curves(args) -> int:
         raise ValueError(f"grid must contain at least one point, got --points {args.points}")
     sweeps = {  # parameter -> (values, zc_swish with that parameter set to v)
         "c": (args.c_values, lambda x, v: zc_swish_eval(x, c=v, beta=1.0, g=1.0)),
-        "g": (args.g_values, lambda x, v: zc_swish_eval(x, c=0.01, beta=1.0, g=v)),
-        "beta": (args.beta_values, lambda x, v: zc_swish_eval(x, c=0.01, beta=v, g=1.0)),
+        "g": (args.g_values, lambda x, v: zc_swish_eval(x, c=C_INIT, beta=1.0, g=v)),
+        "beta": (args.beta_values, lambda x, v: zc_swish_eval(x, c=C_INIT, beta=v, g=1.0)),
     }
     sweeps = {p: (_parse_list(f"--{p}-values", text, float, "a number"), fn) for p, (text, fn) in sweeps.items()}
     xs = np.linspace(args.x_min, args.x_max, args.points)
@@ -238,14 +239,14 @@ def _case_relu(rng, dtype):
     return lambda a: tsum(mul(apply_activation(a, relu), apply_activation(a, relu))), [x]
 
 
-def _case_gelu(rng, dtype):
-    x = Tensor(rng.standard_normal(24) * 2, dtype=dtype)
-    return lambda a: tsum(apply_activation(a, ActivationKind.GELU)), [x]
+def _case_smooth(kind: ActivationKind):
+    """The case of a smooth stateless activation: its sum over 24 values."""
 
+    def case(rng, dtype):
+        x = Tensor(rng.standard_normal(24) * 2, dtype=dtype)
+        return lambda a: tsum(apply_activation(a, kind)), [x]
 
-def _case_swish(rng, dtype):
-    x = Tensor(rng.standard_normal(24) * 2, dtype=dtype)
-    return lambda a: tsum(apply_activation(a, ActivationKind.SWISH)), [x]
+    return case
 
 
 def _case_zc_swish(rng, dtype):
@@ -265,8 +266,8 @@ GRADCHECK_CASES = [
     ("softmax_cross_entropy", _case_softmax_ce),
     ("elementwise", _case_elementwise),
     ("relu", _case_relu),
-    ("gelu", _case_gelu),
-    ("swish", _case_swish),
+    ("gelu", _case_smooth(ActivationKind.GELU)),
+    ("swish", _case_smooth(ActivationKind.SWISH)),
     ("zc_swish", _case_zc_swish),
 ]
 

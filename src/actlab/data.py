@@ -54,6 +54,7 @@ DATA_DIR_ENV = "ACTLAB_DATA_DIR"
 PUBLIC_SOURCE = "https://www.cs.toronto.edu/~kriz/cifar.html (CIFAR-100 binary version)"
 _SYNTH_CHUNK = 128  # samples per noise draw in write_synthetic_cifar100
 _STATS_CHUNK = 256  # samples per float64 chunk of the channel std
+_SYNTH_SIGNAL = 0.85  # prototype share of a synthetic pixel; the rest is noise
 
 
 @dataclass
@@ -95,11 +96,15 @@ def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _read_records(path) -> np.ndarray:
-    """The file's bytes as a C-contiguous (N, RECORD_BYTES) uint8 array."""
+    """The file's bytes as a C-contiguous (N, RECORD_BYTES) uint8 array,
+    N >= 1: a missing file, an empty one and a partial record are refused
+    with a message that names the path."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; obtain the dataset from {PUBLIC_SOURCE}")
     raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0:
+        raise ValueError(f"{path} holds no records")
     if raw.size % RECORD_BYTES != 0:
         expected = (raw.size // RECORD_BYTES + 1) * RECORD_BYTES
         raise ValueError(
@@ -281,16 +286,15 @@ def write_synthetic_cifar100(
     test_per_class: int,
     num_classes: int = 100,
     seed: int = 0,
-    signal_weight: float = 0.85,
 ):
     """Generate a class-separable stand-in dataset in the CIFAR binary layout.
 
     Each class gets a fixed random prototype image; samples mix the
-    prototype (weight ``signal_weight``) with uniform pixel noise, which
+    prototype (weight 0.85) with uniform pixel noise, which
     makes the classes easy to tell apart while exercising the exact same
     loader, normalization and batching paths as the real data. Intended
     for desk-scale runs and CI, where the real dataset is not available.
-    The default mix is clean enough that a few hundred optimizer steps
+    The mix is clean enough that a few hundred optimizer steps
     show real learning even in the deliberately fragile training regime.
 
     The noise is drawn and mixed in chunks of whole samples from one
@@ -300,7 +304,7 @@ def write_synthetic_cifar100(
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    signal = signal_weight * rng.uniform(0.0, 255.0, size=(num_classes, 3, 32, 32))
+    signal = _SYNTH_SIGNAL * rng.uniform(0.0, 255.0, size=(num_classes, 3, 32, 32))
 
     def make_split(per_class, split_seed):
         srng = np.random.default_rng([seed, split_seed])
@@ -310,7 +314,7 @@ def write_synthetic_cifar100(
         for a in range(0, n, _SYNTH_CHUNK):
             b = min(a + _SYNTH_CHUNK, n)
             mix = srng.uniform(0.0, 255.0, size=(b - a, 3, 32, 32))
-            mix *= 1.0 - signal_weight
+            mix *= 1.0 - _SYNTH_SIGNAL
             mix += signal[fine[a:b]]
             pixels[a:b] = np.clip(mix, 0.0, 255.0, out=mix)
         order = srng.permutation(n)

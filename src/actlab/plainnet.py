@@ -150,26 +150,29 @@ class PlainNet:
         rng: np.random.Generator | None = None,
         probe: list | None = None,
     ) -> Tensor:
-        """Run the stack. ``probe``, when given, collects (site_name,
-        post-activation array) pairs, and ("logits", logits array), without
-        altering the computation. The arrays are the forward outputs
-        themselves, in the op's memory layout (channels-last after a
-        conv), not copies: no op and no backward writes into a forward
-        output. ``rng`` is only consumed by dropout in training mode."""
+        """Run the stack. ``probe``, when given, collects one (site_name,
+        post-activation array, feeding weight) triple per activation site
+        and ("logits", logits array, fc2's weight) last, without altering
+        the computation. The feeding weight is the weight Tensor of the
+        last conv or linear layer before the site. The arrays are the
+        forward outputs themselves, in the op's memory layout
+        (channels-last after a conv), not copies: no op and no backward
+        writes into a forward output. ``rng`` is only consumed by dropout
+        in training mode."""
         if x.ndim != 4 or x.shape[1] != INPUT_CHANNELS or x.shape[2:] != (INPUT_SIZE, INPUT_SIZE):
             raise ShapeError(
                 f"input must be [N,{INPUT_CHANNELS},{INPUT_SIZE},{INPUT_SIZE}], got shape {x.shape}"
             )
-        h = x
+        h, weight = x, None
         for layer in self.layers:
             if layer.kind == "conv":
-                h = T.conv2d(h, layer.weight, layer.bias)
+                h, weight = T.conv2d(h, layer.weight, layer.bias), layer.weight
             elif layer.kind == "linear":
-                h = linear(h, layer.weight, layer.bias)
+                h, weight = linear(h, layer.weight, layer.bias), layer.weight
             elif layer.kind == "activation":
                 h = apply_activation(h, layer.activation, layer.params)
                 if probe is not None:
-                    probe.append((layer.name, h.data))
+                    probe.append((layer.name, h.data, weight))
             elif layer.kind == "maxpool":
                 h = maxpool2(h)
             elif layer.kind == "flatten":
@@ -179,7 +182,7 @@ class PlainNet:
             else:  # pragma: no cover - construction never produces this
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         if probe is not None:
-            probe.append(("logits", h.data))
+            probe.append(("logits", h.data, weight))
         return h
 
     def activation_sites(self) -> list[ActivationSite]:

@@ -5,9 +5,10 @@ Two measurements:
 * :func:`layer_stats`: one forward and backward pass on a fixed probe
   batch that gives, per activation site and for the logits, the
   post-activation mean/std, the fraction of near-zero ("dead")
-  activations, and the weight-gradient norm of the layer feeding it.
-  :func:`grad_norm` is the one float64 reduction behind those norms and
-  the trainer's per-step gradient norm.
+  activations, and the weight-gradient norm of the layer feeding it. The
+  forward pass's probe names that layer: each entry is a (site, array,
+  feeding weight) triple. :func:`grad_norm` is the one float64 reduction
+  behind those norms and the trainer's per-step gradient norm.
 * :func:`drift_experiment`: pushes a sample through a freshly initialized
   stack of width-preserving linear layers and one activation per depth
   position, recording how the activation mean moves with depth. With
@@ -57,26 +58,11 @@ DEAD_THRESHOLD = 1e-6
 
 @dataclass
 class LayerStats:
-    index: int
     site: str
     mean: float
     std: float
     dead_frac: float
     grad_norm: float
-
-
-def _weight_layer_for_site(model: PlainNet) -> dict[str, str]:
-    """Map each activation site (and the logits) to the weight layer that
-    feeds it."""
-    mapping: dict[str, str] = {}
-    last_weight = None
-    for layer in model.layers:
-        if layer.kind in ("conv", "linear"):
-            last_weight = layer.name
-        elif layer.kind == "activation":
-            mapping[layer.name] = last_weight
-    mapping["logits"] = last_weight  # final linear
-    return mapping
 
 
 def grad_norm(tensors) -> float:
@@ -104,23 +90,19 @@ def layer_stats(model: PlainNet, images: np.ndarray, labels: np.ndarray) -> list
         loss = softmax_cross_entropy(logits, labels)
         tape.backward(loss)
 
-    norms = {layer.name: grad_norm([layer.weight]) for layer in model.weight_layers()}
-    site_to_weight = _weight_layer_for_site(model)
-
     out = []
-    for i, (site, act) in enumerate(probe):
+    for site, act, weight in probe:
         # C order fixes the summation order of the mean and std whatever
         # the op's output layout (conv outputs are channels-last); the
         # copy lives for one site only
         act = np.ascontiguousarray(act)
         out.append(
             LayerStats(
-                index=i,
                 site=site,
                 mean=float(np.mean(act, dtype=np.float64)),
                 std=float(np.std(act, dtype=np.float64)),
                 dead_frac=float(np.mean(np.abs(act) < DEAD_THRESHOLD)),
-                grad_norm=norms[site_to_weight[site]],
+                grad_norm=grad_norm([weight]),
             )
         )
     return out
@@ -137,8 +119,6 @@ class DriftSite:
 class DriftReport:
     activation: str
     seed: int
-    width: int
-    samples: int
     center: str
     sites: list[DriftSite] = field(default_factory=list)
     anchors: list[float] = field(default_factory=list)
@@ -192,7 +172,7 @@ def drift_experiment(
     # preserves variance; without this, 16 sites of swish-family gain
     # (~0.6x each) drown every statistic in floating-point noise
     bound = np.sqrt(3.0 / width) / _output_std_under_standard_normal(kind)
-    report = DriftReport(activation=kind.value, seed=seed, width=width, samples=samples, center=center)
+    report = DriftReport(activation=kind.value, seed=seed, center=center)
     for pos in range(1, depth + 1):
         w = rng.uniform(-bound, bound, size=(width, width))
         pre = x @ w.T

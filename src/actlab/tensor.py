@@ -30,6 +30,8 @@ in memory order when the channel axis has unit stride (channels-last
 data), and runs that case as one vectorised einsum loop instead of a loop
 C elements long. Backward passes work in the data's own memory layout,
 so the gradient of a channels-last output is channels-last too.
+Per-channel values that enter an elementwise op (conv2d's bias,
+zc_swish's parameters) are laid out to match by :func:`channel_tile`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = [
     "tsum",
     "reshape",
     "channel_sum",
+    "channel_tile",
+    "same_dtype",
     "conv2d",
     "maxpool2",
     "linear",
@@ -132,9 +136,6 @@ class Tape:
         _tapes.pop()
         return False
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def record(self, output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]):
         self._records.append((output, tuple(inputs), backward_fn))
 
@@ -157,8 +158,7 @@ class Tape:
                 t.grad = np.zeros_like(t.data)
         loss.grad = loss.grad + np.ones_like(loss.data)
         for out, _inputs, backward_fn in reversed(self._records):
-            if out.grad is not None:
-                backward_fn(out.grad)
+            backward_fn(out.grad)
 
 
 def record_op(output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]) -> Tensor:
@@ -174,7 +174,8 @@ def _check(cond: bool, msg: str):
         raise ShapeError(msg)
 
 
-def _same_dtype(*tensors: Tensor):
+def same_dtype(*tensors: Tensor):
+    """Raise :class:`ShapeError` unless every tensor has the first one's dtype."""
     dtype = tensors[0].data.dtype
     if any(t.data.dtype != dtype for t in tensors[1:]):
         dtypes = {t.data.dtype for t in tensors}
@@ -202,6 +203,19 @@ def channel_sum(a: np.ndarray) -> np.ndarray:
         if not np.isnan(out).any():
             return out
     return a.sum(axis=0 if a.ndim == 2 else (0, 2, 3))
+
+
+def channel_tile(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """One sample of the per-channel ``values`` [C] in ``like``'s dtype and
+    memory layout: a (1, C) or (1, C, H, W) array holding the values of the
+    (1, C) or (1, C, 1, 1) broadcast. An elementwise op between ``like``
+    and the tile then runs its inner loop over a whole sample rather than
+    over C elements when ``like`` is channels-last, and each element sees
+    the same operands, so the same bits, as with the broadcast.
+    """
+    tile = np.empty_like(like, shape=(1,) + like.shape[1:])
+    tile[...] = values.reshape((1, -1) + (1,) * (like.ndim - 2))
+    return tile
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +360,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     c_out = weight.shape[0]
     _check(bias.shape == (c_out,), f"conv2d bias must have shape ({c_out},), got {bias.shape}")
     _check(h >= 1 and w >= 1, f"conv2d spatial dims must be >= 1, got {h}x{w}")
-    _same_dtype(x, weight, bias)
+    same_dtype(x, weight, bias)
 
     xp = _pad1(x.data)
     if x.data.dtype == np.float64:
         out_data = _conv_forward_exact(xp, weight.data, bias.data, h, w)
     else:
         out_data = _im2col(xp, h, w) @ weight.data.reshape(c_out, c_in * 9).T
-        # The bias as a one-sample (H*W, C_out) tile, so the add's inner
-        # loop runs over H*W*C_out elements rather than C_out.
-        tile = np.empty((h * w, c_out), dtype=out_data.dtype)
-        tile[...] = bias.data
-        rows = out_data.reshape(n, h * w, c_out)
-        rows += tile
         out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
+        out_data += channel_tile(bias.data, out_data)
     out = Tensor(out_data)
 
     def backward_fn(g: np.ndarray):
@@ -502,7 +511,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     )
     f_out = weight.shape[0]
     _check(bias.shape == (f_out,), f"linear bias must have shape ({f_out},), got {bias.shape}")
-    _same_dtype(x, weight, bias)
+    same_dtype(x, weight, bias)
 
     if x.data.dtype == np.float64:
         out_data = _linear_forward_exact(x.data, weight.data, bias.data)
@@ -528,17 +537,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero each element with probability p, scale
-    survivors by 1/(1-p). Identity when not training or p == 0."""
+    survivors by 1/(1-p). When not training or at p == 0 it returns ``x``
+    itself and records nothing."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        out = Tensor(x.data.copy())
-
-        def backward_identity(g: np.ndarray):
-            if x.requires_grad:
-                x.grad += g
-
-        return record_op(out, (x,), backward_identity)
+        return x
 
     if rng is None:
         raise ValueError("dropout in training mode needs a seeded rng")

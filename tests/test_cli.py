@@ -184,6 +184,17 @@ class TestTrainCommand:
         assert "num_classes is 9" in err and "label 9" in err
         assert not out.exists()
 
+    def test_empty_split_file_refused_before_run_dir(self, data_dir, tmp_path, capsys):
+        empty_test = tmp_path / "emptytest"
+        empty_test.mkdir()
+        (empty_test / "train.bin").write_bytes((data_dir / "train.bin").read_bytes())
+        (empty_test / "test.bin").write_bytes(b"")
+        out = tmp_path / "runemptytest"
+        rc = run_cli(*base_train_args(empty_test, out))
+        assert rc == 1
+        assert "test.bin" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_nonzero_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("ACTLAB_DATA_DIR", raising=False)
         rc = run_cli("train", "--depth", "8", "--out", tmp_path / "x")

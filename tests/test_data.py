@@ -71,6 +71,12 @@ class TestLoader:
         with pytest.raises(ValueError, match=str(RECORD_BYTES + 5)):
             load_cifar100(tmp_path, "train")
 
+    def test_empty_train_file_refused_without_sidecar(self, tmp_path):
+        (tmp_path / "train.bin").write_bytes(b"")
+        with pytest.raises(ValueError, match="train.bin holds no records"):
+            load_cifar100(tmp_path, "train")
+        assert not (tmp_path / "channel_stats.json").exists()
+
     def test_unknown_split_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="split"):
             load_cifar100(tmp_path, "validation")

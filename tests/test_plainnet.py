@@ -169,9 +169,11 @@ class TestForward:
         probe: list = []
         probed = model.forward(batch, probe=probe).data
         np.testing.assert_array_equal(plain, probed)
-        names = [name for name, _ in probe]
+        names = [name for name, _, _ in probe]
         assert names[-1] == "logits"
         assert names[:-1] == [s.name for s in model.activation_sites()]
+        # each weight layer feeds exactly one probed site, in model order
+        assert [weight for _, _, weight in probe] == [layer.weight for layer in model.weight_layers()]
 
     @pytest.mark.parametrize("activation", list(ActivationKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
@@ -194,7 +196,7 @@ class TestForward:
             assert probe[-1][1] is logits.data
             tape.backward(softmax_cross_entropy(logits, np.arange(4)))
         assert len(probe) == len(at_probe_time) == len(model.activation_sites()) + 1
-        for (site, act), want in zip(probe, at_probe_time):
+        for (site, act, _), want in zip(probe, at_probe_time):
             assert act.tobytes() == want.tobytes(), site
 
     def test_training_mode_requires_rng_for_dropout(self):

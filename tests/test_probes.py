@@ -69,8 +69,8 @@ class TestLayerStats:
             # channels-last, and the sums must not follow that layout)
             probe: list = []
             model.forward(Tensor(images), probe=probe)
-            assert [st_.site for st_ in stats] == [site for site, _ in probe]
-            for st_, (site, act) in zip(stats, probe):
+            assert [st_.site for st_ in stats] == [site for site, _, _ in probe]
+            for st_, (site, act, _) in zip(stats, probe):
                 act = act.copy(order="C")
                 assert st_.mean == float(np.mean(act, dtype=np.float64)), (kind, site)
                 assert st_.std == float(np.std(act, dtype=np.float64)), (kind, site)

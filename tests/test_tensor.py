@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from actlab.activations import ActivationKind, ZCSwishParams, apply_activation
 from actlab.tensor import (
     _CHUNK_BYTES,
     ShapeError,
@@ -557,6 +558,12 @@ class TestDeterminismAndDtype:
                 Tensor(np.zeros((1, 1, 2, 2)), dtype=np.float32),
                 Tensor(np.zeros((1, 1, 3, 3)), dtype=np.float32),
                 Tensor(np.zeros(1), dtype=np.float64),
+            )
+        with pytest.raises(ShapeError, match=message):  # zc_swish: float32 input, float64 triple
+            apply_activation(
+                Tensor(np.zeros((1, 2)), dtype=np.float32),
+                ActivationKind.ZCSWISH,
+                ZCSwishParams.initial(2, dtype=np.float64),
             )
 
     def test_int_input_promoted_to_default_dtype(self):

@@ -18,9 +18,12 @@ just approximately: both occurrences of sigmoid(-beta*c) are computed
 from identical float products). Inactive units therefore contribute no
 baseline offset, which is the property the whole lab is built to study.
 
-Every forward formula lives in one table, ``FORMULAS``, keyed by
-:class:`ActivationKind`. An entry maps plain arrays to the output and the
-intermediate terms that the backward pass reuses. Two paths call it:
+Every forward formula is written once. The stateless ones live in one
+table, ``FORMULAS``, keyed by :class:`ActivationKind`; an entry maps a
+plain array to the output and the intermediate terms that the backward
+pass reuses. zc_swish's is ``_zc_swish_into``, one chain of in-place
+ufuncs over a block of at most ``_BLOCK_BYTES`` per operand. Two paths
+call them:
 
 * the Tensor path, :func:`apply_activation`, records the op on the
   active tape; derivatives are computed only in its backward pass;
@@ -28,7 +31,8 @@ intermediate terms that the backward pass reuses. Two paths call it:
   serves the drift experiment, its init calibration, the curve dumps
   and the centering oracle.
 
-So both paths give the same bits for the same input and parameters.
+So both paths give the same bits for the same input and parameters,
+whatever the blocking.
 
 gelu uses the tanh approximation
 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))). It stays within
@@ -74,6 +78,11 @@ G_INIT = 1.0
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
+# Bytes per operand of one zc_swish block. Of 64 KiB to 1 MiB, 256 KiB
+# evaluated a 1 MiB float64 sample fastest on a core with 2 MiB of L2.
+# Any value gives the same bits.
+_BLOCK_BYTES = 256 * 1024
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, float32 or float64.
@@ -83,16 +92,28 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     elementwise ufunc in x's dtype, so each element is that one IEEE
     division whatever the array's size or layout; the result has x's
     shape and dtype (a 0-d array for a scalar).
+
+    zc_swish's forward runs the same steps in place on its own blocks
+    (``_sigmoid_into``), so this public name sees only the calls made
+    outside that chain: the per-channel constant, swish and the softplus
+    derivative of ``beta_raw``.
     """
     x = np.asarray(x)
-    out = np.negative(x, out=np.empty_like(x))
+    return _sigmoid_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x, dtype=bool))
+
+
+def _sigmoid_into(x: np.ndarray, out: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sigmoid(x) into ``out``; ``den`` and the bool ``mask`` are scratch
+    of x's shape. x is not read after ``mask`` is written, so ``den`` may
+    be x itself."""
+    np.negative(x, out=out)
     np.minimum(x, out, out=out)  # -|x|; a NaN keeps x's own bits
+    np.greater_equal(x, 0, out=mask)
     np.exp(out, out=out)  # e: in [0, 1], or NaN
-    den = np.add(out, 1.0, out=np.empty_like(out))
+    np.add(out, 1.0, out=den)
     # The numerator: 1 where x >= 0, as e <= 1 there; e (or its NaN) elsewhere.
-    np.maximum(out, x >= 0, out=out)
-    np.divide(out, den, out=out)
-    return out
+    np.maximum(out, mask, out=out)
+    return np.divide(out, den, out=out)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -165,21 +186,41 @@ def _swish(x):
     return x * s, (s,)
 
 
-def _zc_swish(x, c, beta, g):
-    """c, beta and g are scalars or per-channel views broadcasting over x.
-    At x = 0, beta * u is -(beta * c) bit for bit, so f(0) == 0 exactly."""
-    u = x - c
-    s = sigmoid(beta * u)
+def _anchor_term(c, beta):
+    """q = sigmoid(-(beta * c)) and the per-channel constant c * q."""
     q = sigmoid(-(beta * c))
-    core = u * s + c * q
-    return g * core, (s, q, core)
+    return q, c * q
+
+
+def _zc_swish_into(x, c, beta, g, cq, u, t, mask, s, core, out):
+    """zc_swish's forward formula on one block, every step a ufunc that
+    writes into the given arrays: u = x - c, t = beta * u, s = sigmoid(t)
+    (t is spent as its denominator), core = u * s + cq, out = g * core,
+    where cq is ``_anchor_term``'s c * q. c, beta, g and cq are scalars or
+    per-channel values broadcasting over x; ``mask`` is bool scratch.
+    ``s``, ``core`` and ``out`` may be one array. At x = 0, t is
+    -(beta * c) bit for bit, so f(0) == 0 exactly."""
+    np.subtract(x, c, out=u)
+    np.multiply(beta, u, out=t)
+    _sigmoid_into(t, s, t, mask)
+    np.multiply(u, s, out=core)
+    np.add(core, cq, out=core)
+    return np.multiply(g, core, out=out)
+
+
+def _zc_swish(x, c, beta, g):
+    """The forward chain into new arrays of x's shape broadcast against
+    c's, in x's memory layout where the two shapes agree."""
+    shape = np.broadcast_shapes(x.shape, np.shape(c))
+    u, t, out = (np.empty_like(x, shape=shape) for _ in range(3))
+    cq = _anchor_term(c, beta)[1]
+    return _zc_swish_into(x, c, beta, g, cq, u, t, np.empty_like(u, dtype=bool), out, out, out)
 
 
 FORMULAS = {
     ActivationKind.RELU: _relu,
     ActivationKind.GELU: _gelu,
     ActivationKind.SWISH: _swish,
-    ActivationKind.ZCSWISH: _zc_swish,
 }
 
 # df/dx of the stateless kinds, from x and the terms their forward saved.
@@ -217,6 +258,17 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     Parameter gradients are summed over the batch and spatial positions.
     The per-channel constant c * sigmoid(-beta*c) is recomputed on every
     call, because the parameters move every optimization step.
+
+    The forward runs ``_zc_swish_into`` over blocks of whole samples of
+    at most ``_BLOCK_BYTES``, so the tiles broadcast over each block;
+    ``s``, ``core`` and the output are full-size, as the backward reads
+    them. The backward runs over the same blocks with block-sized
+    scratch: the x-gradient term is added into its block of ``x.grad``,
+    and the c and beta products fill full-size arrays that
+    :func:`~actlab.tensor.channel_sum` sums whole. Each product keeps one
+    operand order whatever the array's size, so the bits, the sign of a
+    NaN in ``c.grad`` included, depend on neither the blocking nor the
+    batch size.
     """
     if x.ndim not in (2, 4):
         raise ShapeError(f"zc_swish input must be [N,C] or [N,C,H,W], got shape {x.shape}")
@@ -229,33 +281,67 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     c, gain = params.c.data, params.g.data
     beta = softplus(params.beta_raw.data)
     c_t, beta_t, gain_t = (channel_tile(p, d) for p in (c, beta, gain))
-    out, (s, q, core) = _zc_swish(d, c_t, beta_t, gain_t)
+    q, cq_t = _anchor_term(c_t, beta_t)
     q = q[0] if q.ndim == 2 else q[0, :, 0, 0]  # per channel
+    per_block = max(1, _BLOCK_BYTES // max(1, d[:1].nbytes))  # whole samples
+    blocks = [slice(i, i + per_block) for i in range(0, len(d), per_block)]
+
+    def scratch(k):
+        # block-sized arrays in d's layout; a short last block uses a prefix
+        return [np.empty_like(d[:per_block]) for _ in range(k)]
+
+    s, core, out = (np.empty_like(d) for _ in range(3))
+    u, t = scratch(2)
+    mask = np.empty_like(u, dtype=bool)
+    for b in blocks:
+        n = len(d[b])
+        _zc_swish_into(d[b], c_t, beta_t, gain_t, cq_t, u[:n], t[:n], mask[:n], s[b], core[b], out[b])
 
     def backward_fn(gout: np.ndarray):
-        # u = x - c is not kept from the forward but recomputed here by the
-        # same op on the same operands, so it has the same bits. That holds
-        # because no op writes into a forward output: d is still the input
-        # the forward saw.
-        u = d - c_t
-        if x.requires_grad:
-            x.grad += gout * gain_t * s * (1.0 + beta_t * u * (1.0 - s))
         need_c = params.c.requires_grad
         need_b = params.beta_raw.requires_grad
         need_g = params.g.requires_grad
+        dc = np.empty_like(gout) if need_c else None
+        db = np.empty_like(gout) if need_b else None
+        if x.requires_grad or need_c or need_b:
+            # u = x - c is not kept from the forward but recomputed here by
+            # the same op on the same operands, so it has the same bits.
+            # That holds because no op writes into a forward output: d is
+            # still the input the forward saw.
+            u, gg, bu, sp, t, a = scratch(6)
+            for blk in blocks:
+                n = len(d[blk])
+                ub, ggb, bub, spb, tb, ab, sb = u[:n], gg[:n], bu[:n], sp[:n], t[:n], a[:n], s[blk]
+                np.subtract(d[blk], c_t, out=ub)
+                np.multiply(gout[blk], gain_t, out=ggb)
+                np.multiply(beta_t, ub, out=bub)
+                np.subtract(1.0, sb, out=spb)  # 1 - s, until sp below
+                if x.requires_grad:  # gout*g * s * (beta*u * (1 - s) + 1)
+                    np.multiply(ggb, sb, out=ab)
+                    np.multiply(bub, spb, out=tb)
+                    np.add(tb, 1.0, out=tb)
+                    np.multiply(ab, tb, out=ab)
+                    np.add(x.grad[blk], ab, out=x.grad[blk])
+                np.multiply(spb, sb, out=spb)  # sp = (1 - s) * s
+                if need_c:  # gout*g * -(beta*u * sp + s)
+                    np.multiply(bub, spb, out=tb)
+                    np.add(tb, sb, out=tb)
+                    np.negative(tb, out=tb)
+                    np.multiply(ggb, tb, out=dc[blk])
+                if need_b:  # gout*g * (u * u * sp)
+                    np.multiply(ub, ub, out=tb)
+                    np.multiply(tb, spb, out=tb)
+                    np.multiply(ggb, tb, out=db[blk])
         if not (need_c or need_b or need_g):
             return
-        sp = s * (1.0 - s)
         gsum = channel_sum(gout)
         qp = q * (1.0 - q)
         if need_c:
-            main = channel_sum(gout * gain_t * -(s + beta_t * u * sp))
             const = gsum * gain * (q - beta * c * qp)
-            params.c.grad += main + const
+            params.c.grad += channel_sum(dc) + const
         if need_b:
-            main = channel_sum(gout * gain_t * (u * u * sp))
             const = gsum * gain * (c * c * qp)
-            dbeta = main - const
+            dbeta = channel_sum(db) - const
             params.beta_raw.grad += dbeta * sigmoid(params.beta_raw.data)
         if need_g:
             params.g.grad += channel_sum(gout * core)
@@ -298,24 +384,25 @@ def activation_eval(kind: ActivationKind, x) -> np.ndarray:
     return FORMULAS[kind](_float_array(x))[0]
 
 
-_EVAL_BLOCK = 8192  # elements per _zc_swish call in zc_swish_eval
-
-
 def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_INIT, out: np.ndarray | None = None):
     """Scalar-parameter zero-centered swish on a plain array.
 
     Parameters are cast to the array's dtype; ``beta=None`` means
     softplus(BETA_RAW_INIT), so the defaults reproduce the initial
-    learnable triple.
+    learnable triple. The constant c * sigmoid(-beta*c) is computed once
+    per call.
 
-    An array of more than ``_EVAL_BLOCK`` elements, or any array given
-    ``out``, is evaluated in blocks of at most that many elements, each
-    block one call of the same formula, so no temporary is larger than a
-    block. Every element is the same chain of elementwise ops either
-    way, so the bits do not depend on the blocking or on ``out``.
-    ``out`` must have x's shape and dtype; it is filled and returned.
-    Without ``out`` the result is a new array in x's memory layout (a
-    numpy scalar for a 0-d x).
+    An array of more than ``_BLOCK_BYTES``, or any array given ``out``,
+    is evaluated in blocks of at most that many bytes: each block runs
+    the forward chain straight into its block of ``out`` (through a
+    buffer only where ``out`` or x is not contiguous), with scratch
+    allocated once per call, so no temporary is larger than a block. A
+    smaller array without ``out`` runs the chain once, on new arrays.
+    Every element is the same chain of elementwise ops either way, so the
+    bits do not depend on the blocking or on ``out``. ``out`` must have
+    x's shape and dtype; it is filled and returned. Without ``out`` the
+    result is a new array in x's memory layout (a numpy scalar for a 0-d
+    x).
     """
     x = _float_array(x)
     scalar = x.dtype.type
@@ -323,20 +410,26 @@ def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_
         beta = softplus(scalar(BETA_RAW_INIT))
     c, beta, g = scalar(c), scalar(beta), scalar(g)
     if out is None:
-        if x.size <= _EVAL_BLOCK:
-            return _zc_swish(x, c, beta, g)[0]
+        if x.nbytes <= _BLOCK_BYTES:
+            f = _zc_swish(x, c, beta, g)
+            return f[()] if f.ndim == 0 else f
         out = np.empty_like(x)
     elif out.shape != x.shape or out.dtype != x.dtype:
         raise ValueError(f"out must have shape {x.shape} and dtype {x.dtype}, got {out.shape} and {out.dtype}")
+    block = min(x.size, _BLOCK_BYTES // x.itemsize)
+    u, t = np.empty(block, x.dtype), np.empty(block, x.dtype)
+    mask = np.empty(block, bool)
+    cq = _anchor_term(c, beta)[1]
     blocks = np.nditer(
         [x, out],
         flags=["external_loop", "buffered", "zerosize_ok"],
         op_flags=[["readonly"], ["writeonly"]],
-        buffersize=_EVAL_BLOCK,
+        buffersize=block,
     )
     with blocks:
         for xb, ob in blocks:
-            ob[...] = _zc_swish(xb, c, beta, g)[0]
+            n = xb.size
+            _zc_swish_into(xb, c, beta, g, cq, u[:n], t[:n], mask[:n], ob, ob, ob)
     return out
 
 
@@ -377,8 +470,8 @@ _MAX_ITERATIONS = 100  # Brent steps
 
 def _predicted_mean_and_std(c: np.ndarray, nodes: np.ndarray, weights: np.ndarray, beta: float):
     """The weighted mean and std of f(nodes; c, beta, 1) at every anchor in
-    ``c``: one call of the formula on a [len(c), len(nodes)] array."""
-    f = _zc_swish(nodes, c[:, None], beta, 1.0)[0]
+    ``c``: one run of the forward chain on a [len(c), len(nodes)] array."""
+    f = _zc_swish(nodes, c[:, None], beta, 1.0)
     m1 = f @ weights
     m2 = (f * f) @ weights
     return m1, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
@@ -412,7 +505,11 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
     one reused buffer, and ``evaluations`` in the result counts them.
 
     No sign change, a bracket that shrinks to float resolution and the
-    step cap are reported in the result's note, not raised. A non-finite
+    step cap are reported in the result's note, not raised. So is an
+    anchor whose mean is 0 only because every output of a sample that is
+    not all zero has underflowed or rounded to 0 (checked only where the
+    mean is exactly 0, so a solve pays no extra pass): it is not
+    converged. A non-finite
     or non-positive ``beta`` or ``tol``, an empty sample and a non-finite
     sample value (named by its index) raise ``ValueError``.
     """
@@ -429,16 +526,22 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
         raise ValueError(f"sample value at index {i} is {float(sample[i])}, not finite")
     beta, buf = float(beta), np.empty_like(sample)
     evaluations, closest = 0, (0.0, np.inf)  # the anchor with the smallest |mean| so far
+    underflowed = set()  # anchors where every output is 0; the sample is not
 
     def mean_at(c: float) -> float:
         nonlocal evaluations, closest
         evaluations += 1
         f = float(np.mean(zc_swish_eval(sample, c=c, beta=beta, g=1.0, out=buf)))
+        if f == 0.0 and not buf.any():
+            underflowed.add(c)
         if abs(f) < abs(closest[1]):
             closest = (c, f)
         return f
 
     def result(c, f, converged, iterations, note=""):
+        if c in underflowed:
+            converged = False
+            note = "; ".join(filter(None, (note, f"every output underflows or rounds to 0 at c = {c:.6g}")))
         return CenteringResult(c, f, converged, iterations, note, evaluations)
 
     if np.all(sample == 0.0):

@@ -173,14 +173,17 @@ def drift_experiment(
     # (~0.6x each) drown every statistic in floating-point noise
     bound = np.sqrt(3.0 / width) / _output_std_under_standard_normal(kind)
     report = DriftReport(activation=kind.value, seed=seed, center=center)
+    # every site writes its pre-activations, and an oracle-centered site
+    # its output, into the same two arrays rather than fresh pages
+    pre, act = np.empty_like(x), np.empty_like(x)
     for pos in range(1, depth + 1):
         w = rng.uniform(-bound, bound, size=(width, width))
-        pre = x @ w.T
+        np.matmul(x, w.T, out=pre)
         if center == "oracle":
             res = find_centering_anchor(pre.ravel(), beta=1.0, tol=anchor_tol)
             report.anchors.append(res.c)
             report.anchors_converged += res.converged
-            x = zc_swish_eval(pre, c=res.c, beta=1.0, g=1.0)
+            x = zc_swish_eval(pre, c=res.c, beta=1.0, g=1.0, out=act)
         else:
             x = activation_eval(kind, pre)
         report.sites.append(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from actlab import activations
 from actlab.activations import (
     BETA_RAW_INIT,
     ActivationKind,
@@ -121,16 +122,61 @@ def test_zc_swish_bits_match_broadcast_reference(n, c, spatial, channels_last, d
         xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     cd, brd, gd = (rng.standard_normal(c).astype(dtype) for _ in range(3))
     gout = rng.standard_normal(shape).astype(dtype)
+    got = zc_tape(xd, cd, brd, gd, gout)
+    want = zc_swish_broadcast(xd, cd, brd, gd, gout)
+    assert got[0].strides == want[0].strides
+    for g, ref in zip(got, want):
+        assert g.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(g.view(f"u{g.itemsize}"), ref.view(f"u{ref.itemsize}"))
+
+
+def zc_tape(xd, cd, brd, gd, gout):
+    """Output and the x, c, beta_raw and g gradients of one recorded call."""
     x = Tensor(xd, requires_grad=True)
     p = ZCSwishParams(*(Tensor(v.copy(), requires_grad=True) for v in (cd, brd, gd)))
     with Tape() as tape:
         out = zc_op(x, p)
         tape.backward(tsum(mul(out, Tensor(gout))))
+    return out.data, x.grad, p.c.grad, p.beta_raw.grad, p.g.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("channels_last", [False, True], ids=["nchw", "channels_last"])
+def test_zc_swish_multi_block_bits_match_broadcast_reference(dtype, channels_last):
+    # N = 2k + 1 samples where a block holds k: two full blocks and a
+    # one-sample last block, forward and backward
+    per_block = activations._BLOCK_BYTES // (8 * 32 * 32 * np.dtype(dtype).itemsize)
+    shape = (2 * per_block + 1, 8, 32, 32)
+    rng = np.random.default_rng(21)
+    xd = (rng.standard_normal(shape) * 3).astype(dtype)
+    xd.reshape(-1)[rng.random(xd.size) < 0.1] = 0.0
+    if channels_last:
+        xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    cd, brd, gd = (rng.standard_normal(8).astype(dtype) for _ in range(3))
+    # the tape's output gradient has the output's layout, so gout has x's
+    gout = np.empty_like(xd)
+    gout[...] = rng.standard_normal(shape)
     want = zc_swish_broadcast(xd, cd, brd, gd, gout)
-    assert out.data.strides == want[0].strides
-    for got, ref in zip((out.data, x.grad, p.c.grad, p.beta_raw.grad, p.g.grad), want):
-        assert got.dtype == ref.dtype == dtype
+    for got, ref in zip(zc_tape(xd, cd, brd, gd, gout), want):
+        assert got.dtype == ref.dtype == dtype and got.strides == ref.strides
         np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), ref.view(f"u{ref.itemsize}"))
+
+
+def test_zc_swish_nan_sign_in_c_grad_does_not_depend_on_batch_size():
+    # One -NaN in channel 5 of the first sample makes that channel's
+    # c.grad NaN. Its bits are the same for a 128 KiB and a 256 KiB batch.
+    rng = np.random.default_rng(33)
+    xd = (rng.standard_normal((64, 64, 4, 4)) * 3).astype(np.float32)
+    xd[0, 5, 1, 2] = -np.nan
+    cd, brd, gd = (rng.standard_normal(64).astype(np.float32) for _ in range(3))
+    gout = rng.standard_normal(xd.shape).astype(np.float32)
+    bits = []
+    with np.errstate(invalid="ignore"):
+        for n in (32, 64):
+            gc = zc_tape(xd[:n].copy(), cd, brd, gd, gout[:n])[2]
+            assert np.isnan(gc[5]) and np.isfinite(np.delete(gc, 5)).all()
+            bits.append(gc[5:6].view(np.uint32)[0])
+    assert bits[0] == bits[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,6 +357,21 @@ class TestCenteringAnchor:
         assert abs(res.mean_at_c) < 1e-8
         assert res.note == ""
 
+    def test_anchor_whose_outputs_all_underflow_is_not_converged(self):
+        # At c = 0 every output is x * sigmoid(x) ~ x * exp(x), which
+        # underflows to -0.0 below about -745: the mean reads 0 only
+        # because nothing is left of the sample.
+        res = find_centering_anchor(np.array([-800.0, -900.0, -1000.0]), beta=1.0, tol=1e-9)
+        assert res.mean_at_c == 0.0 and not res.converged
+        assert "underflows" in res.note
+
+    def test_exact_root_with_live_outputs_stays_converged(self):
+        # f(1000) = 1000 and f(-2000) = -1000 at c = -1000: the mean is
+        # exactly 0 and the outputs are not
+        res = find_centering_anchor(np.array([1000.0, -2000.0]), beta=1.0, tol=1e-9)
+        assert res.converged and res.mean_at_c == 0.0 and res.note == ""
+        assert zc_swish_eval(np.array([1000.0, -2000.0]), c=res.c, beta=1.0, g=1.0).any()
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             find_centering_anchor(np.ones(3), beta=0.0)
@@ -325,7 +386,9 @@ class TestZCSwishEvalBlocks:
         specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e30, -1e30, 3.0, -3.0, 1e-40])
         x = np.concatenate([specials, rng.standard_normal(131072 - specials.size) * 4.0]).astype(dtype)
         grid = x[:39000].reshape(300, 130)
-        cases = [np.asarray(x[3]), x[:1], x[:8191], x[:8192], x[:8193], x, grid.T[::2, 1::3]]
+        block = activations._BLOCK_BYTES // x.itemsize
+        cases = [np.asarray(x[3]), x[:1], x[:8191], x[:8192], x[:8193], x[: block - 1], x[:block], x[: block + 1],
+                 x[: 2 * block + 3], x, grid.T[::2, 1::3]]
         with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) is NaN on both sides
             for case in cases:
                 want = zc_swish_eval_one_shot(case, dtype(0.3), dtype(1.7), dtype(-1.25))

@@ -20,10 +20,10 @@ baseline offset, which is the property the whole lab is built to study.
 
 Every forward formula is written once. The stateless ones live in one
 table, ``FORMULAS``, keyed by :class:`ActivationKind`; an entry maps a
-plain array to the output and the intermediate terms that the backward
-pass reuses. zc_swish's is ``_zc_swish_into``, one chain of in-place
-ufuncs over a block of at most ``_BLOCK_BYTES`` per operand. Two paths
-call them:
+plain array to the output and the terms its derivative reads, which are
+all that its backward keeps. zc_swish's is ``_zc_swish_into``, one chain
+of in-place ufuncs over a block of at most ``_BLOCK_BYTES`` per operand.
+Two paths call them:
 
 * the Tensor path, :func:`apply_activation`, records the op on the
   active tape; derivatives are computed only in its backward pass;
@@ -48,7 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from actlab.tensor import DEFAULT_DTYPE, ShapeError, Tensor, channel_sum, channel_tile, record_op, same_dtype
+from actlab.tensor import (
+    DEFAULT_DTYPE,
+    ShapeError,
+    Tensor,
+    channel_sum,
+    channel_tile,
+    record_op,
+    same_dtype,
+    will_record,
+)
 
 __all__ = [
     "ActivationKind",
@@ -163,7 +172,7 @@ class ZCSwishParams:
 
 
 # ---------------------------------------------------------------------------
-# the formula table: plain arrays in, (output, terms the backward reuses) out
+# the formula table: plain arrays in, (output, terms the derivative reads) out
 # ---------------------------------------------------------------------------
 
 
@@ -172,18 +181,19 @@ def _gelu_constants(dt):
 
 
 def _relu(x):
-    return np.maximum(x.dtype.type(0.0), x), ()
+    out = np.maximum(x.dtype.type(0.0), x)
+    return out, (out,)
 
 
 def _gelu(x):
     k, a, half = _gelu_constants(x.dtype)
     t = np.tanh(k * (x + a * x * x * x))
-    return half * x * (1.0 + t), (t,)
+    return half * x * (1.0 + t), (x, t)
 
 
 def _swish(x):
     s = sigmoid(x)
-    return x * s, (s,)
+    return x * s, (x, s)
 
 
 def _anchor_term(c, beta):
@@ -223,12 +233,14 @@ FORMULAS = {
     ActivationKind.SWISH: _swish,
 }
 
-# df/dx of the stateless kinds, from x and the terms their forward saved.
+# df/dx of the stateless kinds, from the terms their forward returned.
 # zc_swish's backward also feeds its parameters; it is in _record_zc_swish.
 
 
-def _relu_dx(x):
-    return (x > 0).astype(x.dtype)
+def _relu_dx(out):
+    # out = max(0, x) is positive exactly where x is: NaN and -0 map to
+    # NaN or a zero, neither of which is > 0
+    return (out > 0).astype(out.dtype)
 
 
 def _gelu_dx(x, t):
@@ -262,9 +274,12 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     The forward runs ``_zc_swish_into`` over blocks of whole samples of
     at most ``_BLOCK_BYTES``, so the tiles broadcast over each block;
     ``s``, ``core`` and the output are full-size, as the backward reads
-    them. The backward runs over the same blocks with block-sized
-    scratch: the x-gradient term is added into its block of ``x.grad``,
-    and the c and beta products fill full-size arrays that
+    them. A call that will not be recorded (no active tape, or nothing
+    requiring a gradient, as in every evaluation batch) writes ``s`` and
+    ``core`` into the output itself, as :func:`zc_swish_eval` does. The
+    backward runs over the same blocks with block-sized scratch: the
+    x-gradient term is added into its block of ``x.grad``, and the c and
+    beta products fill full-size arrays that
     :func:`~actlab.tensor.channel_sum` sums whole. Each product keeps one
     operand order whatever the array's size, so the bits, the sign of a
     NaN in ``c.grad`` included, depend on neither the blocking nor the
@@ -290,12 +305,17 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         # block-sized arrays in d's layout; a short last block uses a prefix
         return [np.empty_like(d[:per_block]) for _ in range(k)]
 
-    s, core, out = (np.empty_like(d) for _ in range(3))
+    inputs = (x, params.c, params.beta_raw, params.g)
+    taped = will_record(inputs)
+    out = np.empty_like(d)
+    s, core = (np.empty_like(d), np.empty_like(d)) if taped else (out, out)
     u, t = scratch(2)
     mask = np.empty_like(u, dtype=bool)
     for b in blocks:
         n = len(d[b])
         _zc_swish_into(d[b], c_t, beta_t, gain_t, cq_t, u[:n], t[:n], mask[:n], s[b], core[b], out[b])
+    if not taped:
+        return Tensor(out)
 
     def backward_fn(gout: np.ndarray):
         need_c = params.c.requires_grad
@@ -346,7 +366,7 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         if need_g:
             params.g.grad += channel_sum(gout * core)
 
-    return record_op(Tensor(out), (x, params.c, params.beta_raw, params.g), backward_fn)
+    return record_op(Tensor(out), inputs, backward_fn)
 
 
 def apply_activation(x: Tensor, kind: ActivationKind, params: ZCSwishParams | None = None) -> Tensor:
@@ -356,13 +376,12 @@ def apply_activation(x: Tensor, kind: ActivationKind, params: ZCSwishParams | No
         if params is None:
             raise ValueError("zc_swish needs its parameter triple")
         return _record_zc_swish(x, params)
-    d = x.data
-    out, saved = FORMULAS[kind](d)
+    out, saved = FORMULAS[kind](x.data)
     dx = _DX[kind]
 
     def backward_fn(g: np.ndarray):
         if x.requires_grad:
-            x.grad += g * dx(d, *saved)
+            x.grad += g * dx(*saved)
 
     return record_op(Tensor(out), (x,), backward_fn)
 

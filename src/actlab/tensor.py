@@ -5,7 +5,13 @@ same-padding convolution, 2x2 max pooling, affine layers, inverted
 dropout, softmax cross-entropy, and a few elementwise helpers. Forward
 operations are recorded on an explicit :class:`Tape`; calling
 ``tape.backward(loss)`` replays the records in reverse and accumulates
-gradients additively into ``Tensor.grad``.
+gradients additively into ``Tensor.grad``. The replay consumes the tape:
+a tensor's gradient is allocated when the first record that touches it
+is replayed, and each record, with the arrays its backward closure
+saved, is released as soon as its replay returns, so a backward pass
+never holds all of the forward state and all of the gradients at once.
+An op that will not be recorded (no active tape, or no input that
+requires a gradient) keeps nothing for a backward.
 
 Two kernel families exist for conv2d and linear, selected by dtype:
 
@@ -48,6 +54,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "record_op",
+    "will_record",
     "add",
     "mul",
     "scale",
@@ -123,10 +130,18 @@ class Tape:
     Tapes nest: operations are recorded on the innermost active tape. The
     stack of active tapes is one per process, so record and run backward
     from one thread.
+
+    A tape replays once. :meth:`backward` pops each record as it replays
+    it and drops it when its ``backward_fn`` returns, so the arrays that
+    op saved for its backward are freed while the pass still runs, and a
+    tensor's gradient is allocated (``zeros_like``, in the data's own
+    layout) only when the first record that touches it is replayed. A
+    second call raises ``RuntimeError``.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], None]]] = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -143,27 +158,36 @@ class Tape:
         """Accumulate d(loss)/dt into ``t.grad`` for tensors on this tape.
 
         ``loss`` must be a scalar. Tensors recorded on the tape that do
-        not influence the loss end up with all-zero gradients.
+        not influence the loss end up with all-zero gradients. The records
+        are consumed: the tape is empty afterwards and cannot replay again.
         """
         if loss.data.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        involved: set[Tensor] = set()
-        for out, inputs, _ in self._records:
-            if out.requires_grad:
-                involved.add(out)
-            involved.update(t for t in inputs if t.requires_grad)
-        involved.add(loss)
-        for t in involved:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-        loss.grad = loss.grad + np.ones_like(loss.data)
-        for out, _inputs, backward_fn in reversed(self._records):
+        if self._replayed:
+            raise RuntimeError("this tape was already replayed; record the forward pass on a new Tape")
+        self._replayed = True
+        ones = np.ones_like(loss.data)
+        loss.grad = ones if loss.grad is None else loss.grad + ones
+        records = self._records
+        while records:
+            out, inputs, backward_fn = records.pop()
+            for t in (out, *inputs):
+                if t.grad is None and t.requires_grad:
+                    t.grad = np.zeros_like(t.data)
             backward_fn(out.grad)
+            del out, inputs, backward_fn  # the closure's saved arrays go now
+
+
+def will_record(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and an
+    input requires a gradient. An op that will not be recorded need keep
+    nothing for a backward."""
+    return bool(_tapes) and any(t.requires_grad for t in inputs)
 
 
 def record_op(output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Attach ``output`` to the innermost active tape, if gradients are wanted."""
-    if _tapes and any(t.requires_grad for t in inputs):
+    if will_record(inputs):
         output.requires_grad = True
         _tapes[-1].record(output, inputs, backward_fn)
     return output
@@ -374,12 +398,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * h * w, c_out)
         if weight.requires_grad:
-            weight.grad += (gmat.T @ _im2col(xp, h, w)).reshape(c_out, c_in, 3, 3)
+            # The padded input is not kept from the forward but rebuilt from
+            # x.data, which no op writes into, so it has the forward's bytes.
+            weight.grad += (gmat.T @ _im2col(_pad1(x.data), h, w)).reshape(c_out, c_in, 3, 3)
         if bias.requires_grad:
             bias.grad += channel_sum(g)
         if x.requires_grad:
             gcols = (gmat @ weight.data.reshape(c_out, c_in * 9)).reshape(n, h, w, c_in, 3, 3)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((n, h + 2, w + 2, c_in), dtype=x.dtype)
             for a, b in _sample_chunks(gcols):
                 for kh in range(3):
                     for kw in range(3):

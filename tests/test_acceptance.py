@@ -82,6 +82,7 @@ def _rel(a, n):
     return abs(a - n) / max(1.0, abs(a), abs(n))
 
 
+@pytest.mark.slow
 def test_criterion_3_zcswish_gradients_on_grid_and_model():
     rng = np.random.default_rng(3)
     xs = np.linspace(-6.0, 6.0, 200)
@@ -218,6 +219,7 @@ def desk_runs(tmp_path_factory):
     return data_dir, results
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("act", ACTIVATIONS)
 def test_criterion_7_desk_scale_learning(desk_runs, act):
     _, results = desk_runs
@@ -229,6 +231,7 @@ def test_criterion_7_desk_scale_learning(desk_runs, act):
     report(7, f"{act}: loss ratio {ratio:.3f} (< 0.8), train accuracy {best_train:.1%} (> 5%)")
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_rerun_is_bit_identical(desk_runs, tmp_path):
     data_dir, results = desk_runs
     rerun = tmp_path / "rerun_zcswish"

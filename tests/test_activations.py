@@ -279,6 +279,18 @@ class TestBaselines:
         x = Tensor(np.array([-2.0, -0.5, 0.5, 2.0]), dtype=np.float64)
         assert gradcheck(lambda a: tsum(apply_activation(a, RELU)), [x]) < 1e-10
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_masks_exactly_where_x_is_positive(self, dtype):
+        # relu's backward reads its output, max(0, x), which is > 0 exactly
+        # where x is: NaN, -0, +0, -inf and the smallest subnormal included
+        tiny = np.finfo(dtype).smallest_subnormal
+        xd = np.array([np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, -tiny, tiny, -1.5, 2.5], dtype=dtype)
+        g = np.arange(1, xd.size + 1, dtype=dtype)
+        x = Tensor(xd, requires_grad=True)
+        with np.errstate(invalid="ignore"), Tape() as tape:
+            tape.backward(tsum(mul(apply_activation(x, RELU), Tensor(g))))
+        np.testing.assert_array_equal(x.grad, g * (xd > 0))
+
     def test_apply_activation_dispatch(self):
         x = Tensor(np.array([[1.0]]), dtype=np.float64)
         assert apply_activation(x, ActivationKind.RELU).data.item() == 1.0

@@ -102,6 +102,7 @@ class TestLayerStats:
         assert len(conv_sites) == 6
         assert all(s.grad_norm == 0.0 for s in conv_sites)
 
+    @pytest.mark.slow
     def test_logits_grad_norm_matches_full_finite_difference(self):
         # float64 model, every fc2 weight coordinate probed, so the whole
         # gradient-norm value is cross-checked against central differences

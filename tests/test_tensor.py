@@ -1,6 +1,8 @@
 """Engine-level tests: forward oracles, backward rules, tape semantics."""
 
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from actlab.tensor import (
     linear,
     maxpool2,
     mul,
+    record_op,
     reshape,
     scale,
     softmax_cross_entropy,
@@ -110,9 +113,15 @@ class TestConv2d:
     dtype=st.sampled_from([np.float32, np.float64]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=2, c_in=3, c_out=4, size=1, channels_last=False, dtype=np.float32, seed=1)
+@example(n=2, c_in=3, c_out=4, size=1, channels_last=True, dtype=np.float64, seed=2)
+@example(n=3, c_in=2, c_out=5, size=2, channels_last=True, dtype=np.float32, seed=3)
+@example(n=3, c_in=2, c_out=5, size=2, channels_last=False, dtype=np.float64, seed=4)
 def test_conv2d_bits_match_nchw_im2col_reference(n, c_in, c_out, size, channels_last, dtype, seed):
     # At N >= 2 the channels-last kernel hands BLAS the same operands as the
-    # NCHW one, so every bit and the output's memory layout must agree.
+    # NCHW one, so every bit and the output's memory layout must agree. The
+    # backward re-pads x.data rather than keeping the forward's padded copy,
+    # so the weight gradient checks that rebuild too.
     rng = np.random.default_rng(seed)
     xd = rng.standard_normal((n, c_in, size, size)).astype(dtype)
     if channels_last:
@@ -130,6 +139,33 @@ def test_conv2d_bits_match_nchw_im2col_reference(n, c_in, c_out, size, channels_
     np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
     np.testing.assert_array_equal(bits(w.grad), bits(want_gw))
     np.testing.assert_array_equal(bits(b.grad), bits(want_gb))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1, 2, 8])
+def test_conv2d_one_sample_backward_matches_nchw_im2col_reference(size, dtype):
+    # At N = 1 the weight gradient's GEMM, and in float32 the forward's,
+    # may get their operands in another layout than the NCHW kernel's, so
+    # they differ from it by rounding. The input and bias gradients keep
+    # every bit, and at 1x1 so does the weight gradient: each of its
+    # elements is one product, with no sum whose order could differ.
+    rng = np.random.default_rng(size)
+    xd = rng.standard_normal((1, 3, size, size)).astype(dtype)
+    wd = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    bd = rng.standard_normal(4).astype(dtype)
+    gd = rng.standard_normal((1, 4, size, size)).astype(dtype)
+    x, w, b = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+    with Tape() as tape:
+        out = conv2d(x, w, b)
+        tape.backward(tsum(mul(out, Tensor(gd))))
+    want_out, want_gx, want_gw, want_gb = conv2d_im2col_nchw(xd, wd, bd, gd)
+    np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
+    np.testing.assert_array_equal(bits(b.grad), bits(want_gb))
+    if size == 1:
+        np.testing.assert_array_equal(bits(w.grad), bits(want_gw))
+    rtol = 1e-5 if dtype == np.float32 else 1e-13
+    np.testing.assert_allclose(w.grad, want_gw, rtol=rtol, atol=rtol)
+    np.testing.assert_allclose(out.data, want_out, rtol=rtol, atol=rtol)
 
 
 @pytest.mark.parametrize(
@@ -451,11 +487,21 @@ class TestBackward:
         x = t64([1.0, 2.0], requires_grad=True)
         y = t64([3.0, 4.0], requires_grad=True)
         with Tape() as tape:
-            _unused = mul(y, y)
+            unused = mul(y, y)
             loss = tsum(x)
             tape.backward(loss)
         np.testing.assert_array_equal(y.grad, np.zeros(2))
+        np.testing.assert_array_equal(unused.grad, np.zeros(2))
         np.testing.assert_array_equal(x.grad, np.ones(2))
+
+    def test_second_backward_on_one_tape_raises(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(mul(x, x))
+            tape.backward(loss)
+            with pytest.raises(RuntimeError, match="already replayed"):
+                tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])  # the refused call added nothing
 
     def test_three_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -495,6 +541,88 @@ class TestBackward:
         g2 = grads_of(lambda x: tsum(mul(mul(x, x), x)))
         combined = grads_of(lambda x: add(scale(tsum(mul(x, x)), a), scale(tsum(mul(mul(x, x), x)), b)))
         np.testing.assert_allclose(combined, a * g1 + b * g2, rtol=1e-10)
+
+
+def closure_value(fn, name):
+    """The value a closure captured under ``name``."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+class TestTapeMemory:
+    """A replay releases each record once its backward has run."""
+
+    def small_net(self, dtype=np.float32):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(dtype), requires_grad=True)
+        w1, w2 = (Tensor(rng.standard_normal((4, c, 3, 3)).astype(dtype), requires_grad=True) for c in (3, 4))
+        b1, b2 = (Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True) for _ in range(2))
+        return x, (w1, b1, w2, b2), ZCSwishParams.initial(4, dtype=dtype)
+
+    def test_tape_holds_no_forward_state_after_backward(self):
+        x, (w1, b1, w2, b2), params = self.small_net()
+        with Tape() as tape:
+            h = conv2d(x, w1, b1)
+            y = apply_activation(h, ActivationKind.ZCSWISH, params)
+            saved_s = weakref.ref(closure_value(tape._records[-1][2], "s"))
+            conv_out = weakref.ref(h.data)
+            loss = tsum(conv2d(y, w2, b2))
+            del h, y  # the caller keeps no intermediate
+            assert saved_s() is not None and conv_out() is not None
+            tape.backward(loss)
+        assert tape._records == []
+        assert saved_s() is None and conv_out() is None
+        assert all(p.grad is not None for p in (x, w1, b1, w2, b2, *params.tensors()))
+
+    def test_each_record_is_freed_before_the_next_one_replays(self):
+        # A probe op recorded first replays last; by then the zc_swish
+        # record replayed before it has released its saved sigmoid.
+        x, _, _ = self.small_net()
+        params = ZCSwishParams.initial(3)
+        seen = []
+
+        def probe(a):
+            def backward_fn(g):
+                seen.append(saved_s())
+                a.grad += g
+
+            return record_op(Tensor(a.data.copy()), (a,), backward_fn)
+
+        with Tape() as tape:
+            y = apply_activation(probe(x), ActivationKind.ZCSWISH, params)
+            saved_s = weakref.ref(closure_value(tape._records[-1][2], "s"))
+            loss = tsum(y)
+            tape.backward(loss)
+        assert seen == [None]
+
+    def test_intermediate_tensor_carries_its_gradient(self):
+        x, (w1, b1, _, _), _ = self.small_net()
+        gd = np.random.default_rng(6).standard_normal((2, 4, 8, 8)).astype(np.float32)
+        weight = Tensor(gd)
+        with Tape() as tape:
+            h = conv2d(x, w1, b1)
+            tape.backward(tsum(mul(h, weight)))
+        # 0 + 1 * gd: the first touch allocates zeros in h's own layout
+        np.testing.assert_array_equal(h.grad, gd)
+        assert h.grad.strides == h.data.strides
+        assert weight.grad is None  # an input that wants no gradient gets none
+
+    def test_untaped_zc_swish_allocates_only_its_output_and_keeps_the_bits(self):
+        # 2 MiB of float32, 8 blocks: an untaped call writes s and core into
+        # its output, so it allocates the output and block scratch only; a
+        # taped one also keeps full-size s and core for its backward.
+        x = Tensor(np.random.default_rng(8).standard_normal((64, 8, 32, 32)).astype(np.float32))
+        params = ZCSwishParams.initial(8)
+        with Tape():
+            taped = apply_activation(x, ActivationKind.ZCSWISH, params)
+        tracemalloc.start()
+        try:
+            plain = apply_activation(x, ActivationKind.ZCSWISH, params)  # no active tape
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not plain.requires_grad
+        assert peak < 2 * plain.data.nbytes
+        np.testing.assert_array_equal(bits(plain.data), bits(taped.data))
 
 
 class TestGradcheck:

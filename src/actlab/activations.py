@@ -22,8 +22,8 @@ Every forward formula is written once. The stateless ones live in one
 table, ``FORMULAS``, keyed by :class:`ActivationKind`; an entry maps a
 plain array to the output and the terms its derivative reads, which are
 all that its backward keeps. zc_swish's is ``_zc_swish_into``, one chain
-of in-place ufuncs over a block of at most ``_BLOCK_BYTES`` per operand.
-Two paths call them:
+of in-place ufuncs on one block, which ``_zc_swish_blocks`` drives over
+an array's blocks. Two paths call them:
 
 * the Tensor path, :func:`apply_activation`, records the op on the
   active tape; derivatives are computed only in its backward pass;
@@ -56,6 +56,7 @@ from actlab.tensor import (
     channel_tile,
     record_op,
     same_dtype,
+    sample_blocks,
     will_record,
 )
 
@@ -87,9 +88,9 @@ G_INIT = 1.0
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
-# Bytes per operand of one zc_swish block. Of 64 KiB to 1 MiB, 256 KiB
-# evaluated a 1 MiB float64 sample fastest on a core with 2 MiB of L2.
-# Any value gives the same bits.
+# Bytes per operand of one zc_swish block (see _zc_swish_blocks). Of
+# 64 KiB to 1 MiB, 256 KiB evaluated a 1 MiB float64 sample fastest on a
+# core with 2 MiB of L2. Any value gives the same bits.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -218,13 +219,21 @@ def _zc_swish_into(x, c, beta, g, cq, u, t, mask, s, core, out):
     return np.multiply(g, core, out=out)
 
 
-def _zc_swish(x, c, beta, g):
-    """The forward chain into new arrays of x's shape broadcast against
-    c's, in x's memory layout where the two shapes agree."""
-    shape = np.broadcast_shapes(x.shape, np.shape(c))
-    u, t, out = (np.empty_like(x, shape=shape) for _ in range(3))
-    cq = _anchor_term(c, beta)[1]
-    return _zc_swish_into(x, c, beta, g, cq, u, t, np.empty_like(u, dtype=bool), out, out, out)
+def _zc_swish_blocks(x, c, beta, g, cq, s, core, out):
+    """``_zc_swish_into`` over x's :func:`~actlab.tensor.sample_blocks` of
+    ``_BLOCK_BYTES``, writing each block of ``s``, ``core`` and ``out``
+    (arrays of x's shape; they may be one array).
+    c, beta, g and cq broadcast over every block: scalars, or one-sample
+    tiles. The scratch is one block of x's layout, allocated once, so no
+    temporary is larger than a block, and each element runs the same
+    chain with the same operands, so no bit depends on the blocking."""
+    blocks = sample_blocks(x, _BLOCK_BYTES)
+    step = blocks[0].stop if blocks else 0
+    u, t = np.empty_like(x[:step]), np.empty_like(x[:step])
+    mask = np.empty_like(u, dtype=bool)
+    for b in blocks:
+        n = b.stop - b.start
+        _zc_swish_into(x[b], c, beta, g, cq, u[:n], t[:n], mask[:n], s[b], core[b], out[b])
 
 
 FORMULAS = {
@@ -265,25 +274,24 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
 
     x is [N, C] or [N, C, H, W] with C equal to ``params.channels`` and
     the triple's dtype; mixed dtypes are refused, as by conv2d and linear.
-    ``c``, ``beta`` and ``g`` enter the elementwise ops as one-sample
-    tiles in x's memory layout (:func:`~actlab.tensor.channel_tile`).
-    Parameter gradients are summed over the batch and spatial positions.
-    The per-channel constant c * sigmoid(-beta*c) is recomputed on every
-    call, because the parameters move every optimization step.
+    ``c``, ``beta``, ``g`` and the per-channel constant
+    c * sigmoid(-beta*c), computed on the C values at every call because
+    the parameters move every optimization step, enter the elementwise
+    ops as one-sample tiles in x's memory layout
+    (:func:`~actlab.tensor.channel_tile`). Parameter gradients are summed
+    over the batch and spatial positions.
 
-    The forward runs ``_zc_swish_into`` over blocks of whole samples of
-    at most ``_BLOCK_BYTES``, so the tiles broadcast over each block;
-    ``s``, ``core`` and the output are full-size, as the backward reads
-    them. A call that will not be recorded (no active tape, or nothing
-    requiring a gradient, as in every evaluation batch) writes ``s`` and
-    ``core`` into the output itself, as :func:`zc_swish_eval` does. The
-    backward runs over the same blocks with block-sized scratch: the
-    x-gradient term is added into its block of ``x.grad``, and the c and
-    beta products fill full-size arrays that
-    :func:`~actlab.tensor.channel_sum` sums whole. Each product keeps one
-    operand order whatever the array's size, so the bits, the sign of a
-    NaN in ``c.grad`` included, depend on neither the blocking nor the
-    batch size.
+    The forward is ``_zc_swish_blocks``; ``s``, ``core`` and the output
+    are full-size, as the backward reads them. A call that will not be
+    recorded (no active tape, or nothing requiring a gradient, as in
+    every evaluation batch) writes ``s`` and ``core`` into the output
+    itself, as :func:`zc_swish_eval` does. The backward walks the same
+    blocks with block-sized scratch: the x-gradient term is added into
+    its block of ``x.grad``, and the c and beta products fill full-size
+    arrays that :func:`~actlab.tensor.channel_sum` sums whole. Each
+    product keeps one operand order whatever the array's size, so the
+    bits, the sign of a NaN in ``c.grad`` included, depend on neither the
+    blocking nor the batch size.
     """
     if x.ndim not in (2, 4):
         raise ShapeError(f"zc_swish input must be [N,C] or [N,C,H,W], got shape {x.shape}")
@@ -295,25 +303,13 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     d = x.data
     c, gain = params.c.data, params.g.data
     beta = softplus(params.beta_raw.data)
-    c_t, beta_t, gain_t = (channel_tile(p, d) for p in (c, beta, gain))
-    q, cq_t = _anchor_term(c_t, beta_t)
-    q = q[0] if q.ndim == 2 else q[0, :, 0, 0]  # per channel
-    per_block = max(1, _BLOCK_BYTES // max(1, d[:1].nbytes))  # whole samples
-    blocks = [slice(i, i + per_block) for i in range(0, len(d), per_block)]
-
-    def scratch(k):
-        # block-sized arrays in d's layout; a short last block uses a prefix
-        return [np.empty_like(d[:per_block]) for _ in range(k)]
-
+    q, cq = _anchor_term(c, beta)
+    c_t, beta_t, gain_t, cq_t = (channel_tile(p, d) for p in (c, beta, gain, cq))
     inputs = (x, params.c, params.beta_raw, params.g)
     taped = will_record(inputs)
     out = np.empty_like(d)
     s, core = (np.empty_like(d), np.empty_like(d)) if taped else (out, out)
-    u, t = scratch(2)
-    mask = np.empty_like(u, dtype=bool)
-    for b in blocks:
-        n = len(d[b])
-        _zc_swish_into(d[b], c_t, beta_t, gain_t, cq_t, u[:n], t[:n], mask[:n], s[b], core[b], out[b])
+    _zc_swish_blocks(d, c_t, beta_t, gain_t, cq_t, s, core, out)
     if not taped:
         return Tensor(out)
 
@@ -328,9 +324,11 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
             # the same op on the same operands, so it has the same bits.
             # That holds because no op writes into a forward output: d is
             # still the input the forward saw.
-            u, gg, bu, sp, t, a = scratch(6)
+            blocks = sample_blocks(d, _BLOCK_BYTES)
+            step = blocks[0].stop if blocks else 0
+            u, gg, bu, sp, t, a = (np.empty_like(d[:step]) for _ in range(6))
             for blk in blocks:
-                n = len(d[blk])
+                n = blk.stop - blk.start
                 ub, ggb, bub, spb, tb, ab, sb = u[:n], gg[:n], bu[:n], sp[:n], t[:n], a[:n], s[blk]
                 np.subtract(d[blk], c_t, out=ub)
                 np.multiply(gout[blk], gain_t, out=ggb)
@@ -409,47 +407,24 @@ def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_
     Parameters are cast to the array's dtype; ``beta=None`` means
     softplus(BETA_RAW_INIT), so the defaults reproduce the initial
     learnable triple. The constant c * sigmoid(-beta*c) is computed once
-    per call.
-
-    An array of more than ``_BLOCK_BYTES``, or any array given ``out``,
-    is evaluated in blocks of at most that many bytes: each block runs
-    the forward chain straight into its block of ``out`` (through a
-    buffer only where ``out`` or x is not contiguous), with scratch
-    allocated once per call, so no temporary is larger than a block. A
-    smaller array without ``out`` runs the chain once, on new arrays.
-    Every element is the same chain of elementwise ops either way, so the
-    bits do not depend on the blocking or on ``out``. ``out`` must have
-    x's shape and dtype; it is filled and returned. Without ``out`` the
-    result is a new array in x's memory layout (a numpy scalar for a 0-d
-    x).
+    per call, and the forward is ``_zc_swish_blocks``, straight into
+    ``out``. ``out`` must have x's shape and dtype; it is filled and
+    returned. Without ``out`` the result is a new array in x's memory
+    layout (a numpy scalar for a 0-d x).
     """
     x = _float_array(x)
     scalar = x.dtype.type
     if beta is None:
         beta = softplus(scalar(BETA_RAW_INIT))
     c, beta, g = scalar(c), scalar(beta), scalar(g)
-    if out is None:
-        if x.nbytes <= _BLOCK_BYTES:
-            f = _zc_swish(x, c, beta, g)
-            return f[()] if f.ndim == 0 else f
+    given = out is not None
+    if not given:
         out = np.empty_like(x)
     elif out.shape != x.shape or out.dtype != x.dtype:
         raise ValueError(f"out must have shape {x.shape} and dtype {x.dtype}, got {out.shape} and {out.dtype}")
-    block = min(x.size, _BLOCK_BYTES // x.itemsize)
-    u, t = np.empty(block, x.dtype), np.empty(block, x.dtype)
-    mask = np.empty(block, bool)
-    cq = _anchor_term(c, beta)[1]
-    blocks = np.nditer(
-        [x, out],
-        flags=["external_loop", "buffered", "zerosize_ok"],
-        op_flags=[["readonly"], ["writeonly"]],
-        buffersize=block,
-    )
-    with blocks:
-        for xb, ob in blocks:
-            n = xb.size
-            _zc_swish_into(xb, c, beta, g, cq, u[:n], t[:n], mask[:n], ob, ob, ob)
-    return out
+    f = np.atleast_1d(out)  # a view of out; a 0-d x is one sample
+    _zc_swish_blocks(np.atleast_1d(x), c, beta, g, _anchor_term(c, beta)[1], f, f, f)
+    return out[()] if x.ndim == 0 and not given else out
 
 
 @functools.cache
@@ -490,7 +465,9 @@ _MAX_ITERATIONS = 100  # Brent steps
 def _predicted_mean_and_std(c: np.ndarray, nodes: np.ndarray, weights: np.ndarray, beta: float):
     """The weighted mean and std of f(nodes; c, beta, 1) at every anchor in
     ``c``: one run of the forward chain on a [len(c), len(nodes)] array."""
-    f = _zc_swish(nodes, c[:, None], beta, 1.0)
+    c = c[:, None]
+    u, t, f = (np.empty((c.size, nodes.size)) for _ in range(3))
+    _zc_swish_into(nodes, c, beta, 1.0, _anchor_term(c, beta)[1], u, t, np.empty_like(u, dtype=bool), f, f, f)
     m1 = f @ weights
     m2 = (f * f) @ weights
     return m1, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))

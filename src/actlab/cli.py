@@ -92,7 +92,10 @@ def _merge_config(args) -> ExperimentConfig:
     if args.preset:
         merged.update(PRESETS[args.preset]())
     if args.config:
-        merged.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object, got {type(loaded).__name__}")
+        merged.update(loaded)
     overrides = {
         "depth": args.depth,
         "width_divisor": args.width_divisor,
@@ -465,7 +468,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

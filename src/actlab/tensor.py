@@ -18,10 +18,8 @@ Two kernel families exist for conv2d and linear, selected by dtype:
 * float32 (the training path): one BLAS GEMM per pass. conv2d builds its
   patch matrix from a channels-last padded input with 9 slice copies and
   returns a channels-last view of the GEMM result. The 9 copies, and the 9
-  adds that scatter the patch gradient back, run over chunks of about
-  512 KiB of whole samples, so each chunk stays in cache across its taps;
-  every element still sees the same taps in the same order, so the bits
-  do not depend on the chunk size.
+  adds that scatter the patch gradient back, run over the
+  :func:`sample_blocks` of the patch buffer.
 * float64 (the verification path): fixed-order accumulation whose
   summation order matches a naive nested-loop evaluation bit for bit,
   and whose per-sample results are independent of the rest of the batch.
@@ -62,6 +60,7 @@ __all__ = [
     "reshape",
     "channel_sum",
     "channel_tile",
+    "sample_blocks",
     "same_dtype",
     "conv2d",
     "maxpool2",
@@ -242,6 +241,21 @@ def channel_tile(values: np.ndarray, like: np.ndarray) -> np.ndarray:
     return tile
 
 
+def sample_blocks(a: np.ndarray, block_bytes: int) -> list[slice]:
+    """Consecutive slices of ``a``'s first axis (its samples), each as many
+    whole samples as fit in ``block_bytes`` of ``a``, and at least one; only
+    the last may be shorter. An empty first axis gives no slices.
+
+    Every pass blocked for cache runs over these: conv2d's patch copies and
+    adds, zc_swish's forward and backward, and zc_swish on plain arrays,
+    whose first axis is the element axis of a 1-d array. Each element sees
+    the same operations whatever the block size, so no bit depends on it.
+    """
+    n = a.shape[0]
+    step = max(1, block_bytes * n // max(a.nbytes, 1))  # block_bytes // bytes per sample
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
@@ -317,16 +331,7 @@ def _pad1(x: np.ndarray) -> np.ndarray:
     return xp
 
 
-_CHUNK_BYTES = 512 * 1024  # patch-buffer bytes per im2col / col2im chunk
-
-
-def _sample_chunks(buf: np.ndarray):
-    """``[a, b)`` ranges over ``buf``'s first axis (samples), each about
-    ``_CHUNK_BYTES`` of ``buf``; the last one may be short."""
-    n = buf.shape[0]
-    step = max(1, _CHUNK_BYTES * n // max(buf.nbytes, 1))  # _CHUNK_BYTES // bytes per sample
-    for a in range(0, n, step):
-        yield a, min(a + step, n)
+_CHUNK_BYTES = 512 * 1024  # patch-buffer bytes per im2col / col2im block
 
 
 def _im2col(xp: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -335,16 +340,16 @@ def _im2col(xp: np.ndarray, h: int, w: int) -> np.ndarray:
     Each of the 9 kernel taps is one slice copy into an (N, H, W, C, 3, 3)
     buffer, whose reshape to the matrix is free. Column order is (channel,
     kernel row, kernel col) row-major, matching ``weight.reshape(c_out, -1)``.
-    The copies run chunk by chunk over samples (see ``_sample_chunks``), all
-    9 taps of one chunk while it is still in cache; the bytes are the same
-    as 9 whole-buffer copies.
+    The copies run over the buffer's :func:`sample_blocks` of
+    ``_CHUNK_BYTES``, all 9 taps of one block while it is still in cache;
+    the bytes are the same as 9 whole-buffer copies.
     """
     n, c = xp.shape[0], xp.shape[3]
     cols = np.empty((n, h, w, c, 3, 3), dtype=xp.dtype)
-    for a, b in _sample_chunks(cols):
+    for blk in sample_blocks(cols, _CHUNK_BYTES):
         for kh in range(3):
             for kw in range(3):
-                cols[a:b, ..., kh, kw] = xp[a:b, kh : kh + h, kw : kw + w, :]
+                cols[blk, ..., kh, kw] = xp[blk, kh : kh + h, kw : kw + w, :]
     return cols.reshape(n * h * w, c * 9)
 
 
@@ -406,10 +411,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             gcols = (gmat @ weight.data.reshape(c_out, c_in * 9)).reshape(n, h, w, c_in, 3, 3)
             gxp = np.zeros((n, h + 2, w + 2, c_in), dtype=x.dtype)
-            for a, b in _sample_chunks(gcols):
+            for blk in sample_blocks(gcols, _CHUNK_BYTES):
                 for kh in range(3):
                     for kw in range(3):
-                        gxp[a:b, kh : kh + h, kw : kw + w, :] += gcols[a:b, ..., kh, kw]
+                        gxp[blk, kh : kh + h, kw : kw + w, :] += gcols[blk, ..., kh, kw]
             x.grad += gxp[:, 1 : h + 1, 1 : w + 1, :].transpose(0, 3, 1, 2)
 
     return record_op(out, (x, weight, bias), backward_fn)

@@ -401,6 +401,8 @@ class TestZCSwishEvalBlocks:
         block = activations._BLOCK_BYTES // x.itemsize
         cases = [np.asarray(x[3]), x[:1], x[:8191], x[:8192], x[:8193], x[: block - 1], x[:block], x[: block + 1],
                  x[: 2 * block + 3], x, grid.T[::2, 1::3]]
+        # empty arrays, and rows each over a block, so every block is one row
+        cases += [x[:0], x[:0].reshape(0, 3), x[:0].reshape(3, 0), np.resize(x, (3, block + 5))]
         with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) is NaN on both sides
             for case in cases:
                 want = zc_swish_eval_one_shot(case, dtype(0.3), dtype(1.7), dtype(-1.25))

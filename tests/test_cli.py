@@ -83,7 +83,7 @@ class TestTrainCommand:
             b = (out2 / "seed_7" / fname).read_bytes()
             assert a == b, fname
 
-    def test_multi_seed_aggregate_and_jobs(self, data_dir, tmp_path):
+    def test_multi_seed_aggregate(self, data_dir, tmp_path):
         out = tmp_path / "runm"
         rc = run_cli(*base_train_args(data_dir, out), "--activation", "relu", "--seeds", "1,2")
         assert rc == 0
@@ -97,6 +97,16 @@ class TestTrainCommand:
         rc = run_cli("train", "--data-dir", data_dir, "--config", cfg, "--out", tmp_path / "x")
         assert rc == 1
         assert "flux_capacitor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loaded, kind", [([1, 2], "list"), ("x", "str")])
+    def test_config_not_a_json_object_nonzero_exit_and_no_run_dir(self, data_dir, tmp_path, capsys, loaded, kind):
+        cfg = tmp_path / "notobject.json"
+        cfg.write_text(json.dumps(loaded))
+        out = tmp_path / "runnotobject"
+        rc = run_cli("train", "--data-dir", data_dir, "--config", cfg, "--out", out)
+        assert rc == 1
+        assert f"--config {cfg} must hold a JSON object, got {kind}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_seed_list_nonzero_exit_and_no_run_dir(self, data_dir, tmp_path, capsys):
         out = tmp_path / "runempty"
@@ -396,6 +406,11 @@ class TestCenterOracleCommand:
         assert rc == 1
         assert f"--input {sample} holds no sample values" in capsys.readouterr().err
 
+    def test_directory_as_input_refused_naming_it(self, tmp_path, capsys, no_solve):
+        rc = run_cli("center-oracle", "--input", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_evaluation_count_printed(self, capsys):
         rc = run_cli("center-oracle", "--samples", "1000", "--seed", "3")

@@ -25,6 +25,7 @@ from actlab.tensor import (
     mul,
     record_op,
     reshape,
+    sample_blocks,
     scale,
     softmax_cross_entropy,
     tsum,
@@ -166,6 +167,34 @@ def test_conv2d_one_sample_backward_matches_nchw_im2col_reference(size, dtype):
     rtol = 1e-5 if dtype == np.float32 else 1e-13
     np.testing.assert_allclose(w.grad, want_gw, rtol=rtol, atol=rtol)
     np.testing.assert_allclose(out.data, want_out, rtol=rtol, atol=rtol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 64),
+    width=st.integers(1, 16),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    block_bytes=st.integers(1, 1024),
+)
+@example(n=0, width=4, dtype=np.float64, block_bytes=64)
+@example(n=3, width=16, dtype=np.float64, block_bytes=100)  # one sample is 128 bytes
+def test_sample_blocks_cover_every_sample_once_in_runs_of_at_most_block_bytes(n, width, dtype, block_bytes):
+    a = np.empty((n, width), dtype=dtype)
+    per_sample = width * a.itemsize
+    blocks = sample_blocks(a, block_bytes)
+    # in order, every sample exactly once
+    assert [i for b in blocks for i in range(*b.indices(n))] == list(range(n))
+    sizes = [b.stop - b.start for b in blocks]
+    assert all(b.step is None for b in blocks) and all(k >= 1 for k in sizes)
+    # at most block_bytes, unless the slice holds a single sample
+    assert all(k * per_sample <= block_bytes or k == 1 for k in sizes)
+    # as many whole samples as fit, and only the last slice short
+    full = max(1, block_bytes // per_sample)
+    assert all(k == full for k in sizes[:-1])
+    if n:
+        assert sizes[-1] == (n % full or full)
+    else:
+        assert blocks == []
 
 
 @pytest.mark.parametrize(

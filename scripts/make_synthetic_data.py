@@ -6,6 +6,7 @@ normalization and batching path is exercised identically to real data.
 """
 
 import argparse
+import sys
 
 from actlab.data import write_synthetic_cifar100
 
@@ -18,13 +19,16 @@ def main():
     p.add_argument("--classes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
-    write_synthetic_cifar100(
-        args.out,
-        train_per_class=args.train_per_class,
-        test_per_class=args.test_per_class,
-        num_classes=args.classes,
-        seed=args.seed,
-    )
+    try:
+        write_synthetic_cifar100(
+            args.out,
+            train_per_class=args.train_per_class,
+            test_per_class=args.test_per_class,
+            num_classes=args.classes,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     n_train = args.train_per_class * args.classes
     n_test = args.test_per_class * args.classes
     print(f"wrote {args.out}/train.bin ({n_train} records) and test.bin ({n_test} records)")

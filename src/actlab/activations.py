@@ -18,12 +18,15 @@ just approximately: both occurrences of sigmoid(-beta*c) are computed
 from identical float products). Inactive units therefore contribute no
 baseline offset, which is the property the whole lab is built to study.
 
-Every forward formula is written once. The stateless ones live in one
-table, ``FORMULAS``, keyed by :class:`ActivationKind`; an entry maps a
-plain array to the output and the terms its derivative reads, which are
-all that its backward keeps. zc_swish's is ``_zc_swish_into``, one chain
-of in-place ufuncs on one block, which ``_zc_swish_blocks`` drives over
-an array's blocks. Two paths call them:
+Every formula is written once. The stateless ones live in one table,
+``FORMULAS``, keyed by :class:`ActivationKind`; each entry is a
+``(forward, dx)`` pair. forward maps a plain array to the output and the
+terms its derivative reads, which are all that its backward keeps; dx
+maps those terms to df/dx. zc_swish's forward is ``_zc_swish_into``, one
+chain of in-place ufuncs on one block. One walker, ``_walk_blocks``,
+yields an array's cache-sized blocks of whole samples with block-sized
+scratch; zc_swish's forward driver ``_zc_swish_blocks`` and its backward
+both run on it. Two paths call the formulas:
 
 * the Tensor path, :func:`apply_activation`, records the op on the
   active tape; derivatives are computed only in its backward pass;
@@ -88,7 +91,7 @@ G_INIT = 1.0
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
-# Bytes per operand of one zc_swish block (see _zc_swish_blocks). Of
+# Bytes per operand of one zc_swish block (see _walk_blocks). Of
 # 64 KiB to 1 MiB, 256 KiB evaluated a 1 MiB float64 sample fastest on a
 # core with 2 MiB of L2. Any value gives the same bits.
 _BLOCK_BYTES = 256 * 1024
@@ -173,7 +176,7 @@ class ZCSwishParams:
 
 
 # ---------------------------------------------------------------------------
-# the formula table: plain arrays in, (output, terms the derivative reads) out
+# the formula table: (forward, dx) pairs, and zc_swish's block chain
 # ---------------------------------------------------------------------------
 
 
@@ -186,15 +189,40 @@ def _relu(x):
     return out, (out,)
 
 
+def _relu_dx(out):
+    # out = max(0, x) is positive exactly where x is: NaN and -0 map to
+    # NaN or a zero, neither of which is > 0
+    return (out > 0).astype(out.dtype)
+
+
 def _gelu(x):
     k, a, half = _gelu_constants(x.dtype)
     t = np.tanh(k * (x + a * x * x * x))
     return half * x * (1.0 + t), (x, t)
 
 
+def _gelu_dx(x, t):
+    k, a, half = _gelu_constants(x.dtype)
+    return half * (1.0 + t) + half * x * (1.0 - t * t) * k * (1.0 + 3.0 * a * x * x)
+
+
 def _swish(x):
     s = sigmoid(x)
     return x * s, (x, s)
+
+
+def _swish_dx(x, s):
+    return s * (1.0 + x * (1.0 - s))
+
+
+# (forward, dx) of the stateless kinds: forward maps an array to its
+# output and the terms dx reads; dx maps those terms to df/dx. zc_swish's
+# backward also feeds its parameters; it is in _record_zc_swish.
+FORMULAS = {
+    ActivationKind.RELU: (_relu, _relu_dx),
+    ActivationKind.GELU: (_gelu, _gelu_dx),
+    ActivationKind.SWISH: (_swish, _swish_dx),
+}
 
 
 def _anchor_term(c, beta):
@@ -219,49 +247,30 @@ def _zc_swish_into(x, c, beta, g, cq, u, t, mask, s, core, out):
     return np.multiply(g, core, out=out)
 
 
-def _zc_swish_blocks(x, c, beta, g, cq, s, core, out):
-    """``_zc_swish_into`` over x's :func:`~actlab.tensor.sample_blocks` of
-    ``_BLOCK_BYTES``, writing each block of ``s``, ``core`` and ``out``
-    (arrays of x's shape; they may be one array).
-    c, beta, g and cq broadcast over every block: scalars, or one-sample
-    tiles. The scratch is one block of x's layout, allocated once, so no
-    temporary is larger than a block, and each element runs the same
-    chain with the same operands, so no bit depends on the blocking."""
+def _walk_blocks(x, floats: int, masks: int = 0):
+    """Yield ``(b, views)`` for each of x's
+    :func:`~actlab.tensor.sample_blocks` of ``_BLOCK_BYTES``: ``b`` is the
+    block's slice and ``views`` holds ``floats`` scratch arrays of x's
+    dtype and layout, then ``masks`` bool ones, each cut to the block's
+    samples. The scratch is allocated once, one block in size, so no
+    temporary is larger than a block."""
     blocks = sample_blocks(x, _BLOCK_BYTES)
-    step = blocks[0].stop if blocks else 0
-    u, t = np.empty_like(x[:step]), np.empty_like(x[:step])
-    mask = np.empty_like(u, dtype=bool)
+    head = x[: blocks[0].stop if blocks else 0]
+    scratch = [np.empty_like(head) for _ in range(floats)]
+    scratch += [np.empty_like(head, dtype=bool) for _ in range(masks)]
     for b in blocks:
         n = b.stop - b.start
-        _zc_swish_into(x[b], c, beta, g, cq, u[:n], t[:n], mask[:n], s[b], core[b], out[b])
+        yield b, [a[:n] for a in scratch]
 
 
-FORMULAS = {
-    ActivationKind.RELU: _relu,
-    ActivationKind.GELU: _gelu,
-    ActivationKind.SWISH: _swish,
-}
-
-# df/dx of the stateless kinds, from the terms their forward returned.
-# zc_swish's backward also feeds its parameters; it is in _record_zc_swish.
-
-
-def _relu_dx(out):
-    # out = max(0, x) is positive exactly where x is: NaN and -0 map to
-    # NaN or a zero, neither of which is > 0
-    return (out > 0).astype(out.dtype)
-
-
-def _gelu_dx(x, t):
-    k, a, half = _gelu_constants(x.dtype)
-    return half * (1.0 + t) + half * x * (1.0 - t * t) * k * (1.0 + 3.0 * a * x * x)
-
-
-def _swish_dx(x, s):
-    return s * (1.0 + x * (1.0 - s))
-
-
-_DX = {ActivationKind.RELU: _relu_dx, ActivationKind.GELU: _gelu_dx, ActivationKind.SWISH: _swish_dx}
+def _zc_swish_blocks(x, c, beta, g, cq, s, core, out):
+    """``_zc_swish_into`` over each of x's blocks (``_walk_blocks``),
+    writing that block of ``s``, ``core`` and ``out`` (arrays of x's
+    shape; they may be one array). c, beta, g and cq broadcast over every
+    block: scalars, or one-sample tiles. Each element runs the same chain
+    with the same operands, so no bit depends on the blocking."""
+    for b, (u, t, mask) in _walk_blocks(x, 2, 1):
+        _zc_swish_into(x[b], c, beta, g, cq, u, t, mask, s[b], core[b], out[b])
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +295,13 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
     recorded (no active tape, or nothing requiring a gradient, as in
     every evaluation batch) writes ``s`` and ``core`` into the output
     itself, as :func:`zc_swish_eval` does. The backward walks the same
-    blocks with block-sized scratch: the x-gradient term is added into
-    its block of ``x.grad``, and the c and beta products fill full-size
-    arrays that :func:`~actlab.tensor.channel_sum` sums whole. Each
-    product keeps one operand order whatever the array's size, so the
-    bits, the sign of a NaN in ``c.grad`` included, depend on neither the
-    blocking nor the batch size.
+    blocks (``_walk_blocks``): the x-gradient term is added into its
+    block of ``x.grad``, and the c and beta products always fill
+    full-size arrays that :func:`~actlab.tensor.channel_sum` sums whole;
+    each parameter's gradient is added only when that tensor requires
+    one. Each product keeps one operand order whatever the array's size,
+    so the bits, the sign of a NaN in ``c.grad`` included, depend on
+    neither the blocking nor the batch size.
     """
     if x.ndim not in (2, 4):
         raise ShapeError(f"zc_swish input must be [N,C] or [N,C,H,W], got shape {x.shape}")
@@ -314,54 +324,41 @@ def _record_zc_swish(x: Tensor, params: ZCSwishParams) -> Tensor:
         return Tensor(out)
 
     def backward_fn(gout: np.ndarray):
-        need_c = params.c.requires_grad
-        need_b = params.beta_raw.requires_grad
-        need_g = params.g.requires_grad
-        dc = np.empty_like(gout) if need_c else None
-        db = np.empty_like(gout) if need_b else None
-        if x.requires_grad or need_c or need_b:
-            # u = x - c is not kept from the forward but recomputed here by
-            # the same op on the same operands, so it has the same bits.
-            # That holds because no op writes into a forward output: d is
-            # still the input the forward saw.
-            blocks = sample_blocks(d, _BLOCK_BYTES)
-            step = blocks[0].stop if blocks else 0
-            u, gg, bu, sp, t, a = (np.empty_like(d[:step]) for _ in range(6))
-            for blk in blocks:
-                n = blk.stop - blk.start
-                ub, ggb, bub, spb, tb, ab, sb = u[:n], gg[:n], bu[:n], sp[:n], t[:n], a[:n], s[blk]
-                np.subtract(d[blk], c_t, out=ub)
-                np.multiply(gout[blk], gain_t, out=ggb)
-                np.multiply(beta_t, ub, out=bub)
-                np.subtract(1.0, sb, out=spb)  # 1 - s, until sp below
-                if x.requires_grad:  # gout*g * s * (beta*u * (1 - s) + 1)
-                    np.multiply(ggb, sb, out=ab)
-                    np.multiply(bub, spb, out=tb)
-                    np.add(tb, 1.0, out=tb)
-                    np.multiply(ab, tb, out=ab)
-                    np.add(x.grad[blk], ab, out=x.grad[blk])
-                np.multiply(spb, sb, out=spb)  # sp = (1 - s) * s
-                if need_c:  # gout*g * -(beta*u * sp + s)
-                    np.multiply(bub, spb, out=tb)
-                    np.add(tb, sb, out=tb)
-                    np.negative(tb, out=tb)
-                    np.multiply(ggb, tb, out=dc[blk])
-                if need_b:  # gout*g * (u * u * sp)
-                    np.multiply(ub, ub, out=tb)
-                    np.multiply(tb, spb, out=tb)
-                    np.multiply(ggb, tb, out=db[blk])
-        if not (need_c or need_b or need_g):
-            return
+        # u = x - c is not kept from the forward but recomputed here by
+        # the same op on the same operands, so it has the same bits. That
+        # holds because no op writes into a forward output: d is still
+        # the input the forward saw.
+        dc, db = np.empty_like(gout), np.empty_like(gout)
+        for blk, (u, gg, bu, sp, t, a) in _walk_blocks(d, 6):
+            sb = s[blk]
+            np.subtract(d[blk], c_t, out=u)
+            np.multiply(gout[blk], gain_t, out=gg)
+            np.multiply(beta_t, u, out=bu)
+            np.subtract(1.0, sb, out=sp)  # 1 - s, until sp below
+            if x.requires_grad:  # gout*g * s * (beta*u * (1 - s) + 1)
+                np.multiply(gg, sb, out=a)
+                np.multiply(bu, sp, out=t)
+                np.add(t, 1.0, out=t)
+                np.multiply(a, t, out=a)
+                np.add(x.grad[blk], a, out=x.grad[blk])
+            np.multiply(sp, sb, out=sp)  # sp = (1 - s) * s
+            # c: gout*g * -(beta*u * sp + s)
+            np.multiply(bu, sp, out=t)
+            np.add(t, sb, out=t)
+            np.negative(t, out=t)
+            np.multiply(gg, t, out=dc[blk])
+            # beta: gout*g * (u * u * sp)
+            np.multiply(u, u, out=t)
+            np.multiply(t, sp, out=t)
+            np.multiply(gg, t, out=db[blk])
         gsum = channel_sum(gout)
         qp = q * (1.0 - q)
-        if need_c:
-            const = gsum * gain * (q - beta * c * qp)
-            params.c.grad += channel_sum(dc) + const
-        if need_b:
-            const = gsum * gain * (c * c * qp)
-            dbeta = channel_sum(db) - const
+        if params.c.requires_grad:
+            params.c.grad += channel_sum(dc) + gsum * gain * (q - beta * c * qp)
+        if params.beta_raw.requires_grad:
+            dbeta = channel_sum(db) - gsum * gain * (c * c * qp)
             params.beta_raw.grad += dbeta * sigmoid(params.beta_raw.data)
-        if need_g:
+        if params.g.requires_grad:
             params.g.grad += channel_sum(gout * core)
 
     return record_op(Tensor(out), inputs, backward_fn)
@@ -374,8 +371,8 @@ def apply_activation(x: Tensor, kind: ActivationKind, params: ZCSwishParams | No
         if params is None:
             raise ValueError("zc_swish needs its parameter triple")
         return _record_zc_swish(x, params)
-    out, saved = FORMULAS[kind](x.data)
-    dx = _DX[kind]
+    forward, dx = FORMULAS[kind]
+    out, saved = forward(x.data)
 
     def backward_fn(g: np.ndarray):
         if x.requires_grad:
@@ -398,7 +395,7 @@ def activation_eval(kind: ActivationKind, x) -> np.ndarray:
     """``kind`` on a plain array, zc_swish at its initial parameter triple."""
     if kind is ActivationKind.ZCSWISH:
         return zc_swish_eval(x)
-    return FORMULAS[kind](_float_array(x))[0]
+    return FORMULAS[kind][0](_float_array(x))[0]
 
 
 def zc_swish_eval(x, c: float = C_INIT, beta: float | None = None, g: float = G_INIT, out: np.ndarray | None = None):
@@ -506,8 +503,9 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
     not all zero has underflowed or rounded to 0 (checked only where the
     mean is exactly 0, so a solve pays no extra pass): it is not
     converged. A non-finite
-    or non-positive ``beta`` or ``tol``, an empty sample and a non-finite
-    sample value (named by its index) raise ``ValueError``.
+    or non-positive ``beta`` or ``tol``, an empty sample, a non-finite
+    sample value (named by its index) and a sample whose std overflows
+    float64 raise ``ValueError``.
     """
     if not (np.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
@@ -544,7 +542,10 @@ def find_centering_anchor(sample, beta: float = 1.0, tol: float = 1e-8) -> Cente
         # f(0) == 0 for every parameter choice, so any anchor works.
         return result(0.0, 0.0, True, 0, "all-zero sample, mean is 0 for any c")
 
-    mu, sd = float(sample.mean()), float(sample.std())
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        mu, sd = float(sample.mean()), float(sample.std())
+    if not np.isfinite(sd):
+        raise ValueError(f"sample std is not finite (it overflows float64): {sd}")
     if sd == 0.0:
         # a constant (or subnormal-spread) sample: no bracket to predict,
         # but c = 0 may already be within tol

@@ -312,6 +312,8 @@ def cmd_params(args) -> int:
     expected = None
     if args.expect:
         expected = _parse_list("--expect", args.expect, lambda p: int(p.replace("_", "").replace(",", "")), "an integer", ":")
+        if len(expected) > 2:
+            raise ValueError(f"--expect takes TOTAL[:ACTIVATION], got {len(expected)} fields in {args.expect!r}")
     cfg = PlainNetConfig(
         depth=args.depth,
         width_divisor=args.width_divisor,

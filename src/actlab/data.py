@@ -10,9 +10,10 @@ Pixels map byte -> float via x/255. Standardization uses per-channel
 mean/std computed over the train split and cached in a small JSON
 sidecar next to the data files, so the test split is normalized with
 train statistics. The sidecar records train.bin's size and sha256 and
-is recomputed whenever they no longer match. A split is decoded once,
-into the float32 array that is then standardized in place. No augmentation of any
-kind is applied here: the training recipes this lab studies are
+is recomputed whenever they no longer match or it does not hold three
+finite means and stds. A split is decoded once, into the float32 array
+that is then standardized in place. No augmentation of any kind is
+applied here: the training recipes this lab studies are
 deliberately bare, and augmenting would confound them.
 
 Every file actlab writes goes through :func:`atomic_write`, so a killed
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,10 +40,8 @@ __all__ = [
     "Dataset",
     "BatchPlan",
     "atomic_write",
-    "read_cifar_records",
     "write_cifar_records",
     "load_cifar100",
-    "ensure_channel_stats",
     "subset",
     "batches",
     "write_synthetic_cifar100",
@@ -87,12 +87,6 @@ def atomic_write(path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw record arrays: (coarse u8 [N], fine u8 [N], pixels u8 [N,3,32,32])."""
-    records = _read_records(path)
-    return records[:, 0].copy(), records[:, 1].copy(), _pixel_view(records).copy()
 
 
 def _read_records(path) -> np.ndarray:
@@ -156,27 +150,25 @@ def _train_identity(path: Path, records: np.ndarray | None) -> dict:
     return {"train_bytes": size, "train_sha256": digest.hexdigest()}
 
 
-def ensure_channel_stats(data_dir) -> dict:
+def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) -> dict:
     """Per-channel mean/std of the train split in x/255 units.
 
     Cached in a JSON sidecar together with train.bin's size and sha256.
-    The sidecar is reused only while both still match train.bin;
-    otherwise the statistics are recomputed and the sidecar is replaced
-    atomically.
+    The sidecar is reused only while it is a JSON object whose size and
+    sha256 match train.bin and whose ``mean`` and ``std`` each hold three
+    finite floats, as this function writes them. Anything else
+    (unreadable JSON, another identity, a missing or malformed field) is
+    stale: the statistics are recomputed and the sidecar is replaced
+    atomically. ``train`` is train.bin's records and their x/255 pixels
+    when the caller has already read and decoded them; without it
+    train.bin is read here.
     """
-    return _channel_stats(Path(data_dir), None)
-
-
-def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) -> dict:
-    """``ensure_channel_stats``, reusing train.bin's records and their
-    x/255 pixels when the caller has already read and decoded them."""
     train_path = data_dir / SPLIT_FILES["train"]
     sidecar = data_dir / STATS_FILE
     identity = _train_identity(train_path, None if train is None else train[0])
-    if sidecar.exists():
-        stats = json.loads(sidecar.read_text())
-        if all(stats.get(k) == v for k, v in identity.items()):
-            return stats
+    stats = _cached_stats(sidecar, identity)
+    if stats is not None:
+        return stats
     x = _unit_pixels(_read_records(train_path)) if train is None else train[1]
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
     std = _channel_std(x, mean)
@@ -189,6 +181,24 @@ def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) 
     }
     with atomic_write(sidecar) as f:
         f.write(json.dumps(stats, indent=2, sort_keys=True))
+    return stats
+
+
+def _cached_stats(sidecar: Path, identity: dict) -> dict | None:
+    """The sidecar's statistics if they can be trusted (see
+    ``_channel_stats``), else None."""
+    try:
+        stats = json.loads(sidecar.read_text())
+    except (FileNotFoundError, ValueError):  # no sidecar, or not UTF-8 JSON
+        return None
+    if not isinstance(stats, dict) or any(stats.get(k) != v for k, v in identity.items()):
+        return None
+    for key in ("mean", "std"):
+        values = stats.get(key)
+        if not (isinstance(values, list) and len(values) == 3):
+            return None
+        if not all(type(v) is float and math.isfinite(v) for v in values):
+            return None
     return stats
 
 
@@ -301,6 +311,11 @@ def write_synthetic_cifar100(
     generator stream, so the files do not depend on the chunk size and
     no full-size float64 array is ever held.
     """
+    if not 1 <= num_classes <= 256:
+        raise ValueError(f"num_classes must be in 1..256 (a label is one byte), got {num_classes}")
+    for name, per_class in (("train_per_class", train_per_class), ("test_per_class", test_per_class)):
+        if per_class < 1:
+            raise ValueError(f"{name} must be at least 1, got {per_class}")
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -446,6 +446,15 @@ class TestAnchorSolver:
         with pytest.raises(ValueError, match=f"sample value at index 3 is {bad}, not finite"):
             find_centering_anchor(sample)
 
+    @pytest.mark.parametrize(
+        "sample",
+        [np.random.default_rng(0).standard_normal(500) * 1e160, np.array([1e308, 1e308, -1e308, 1e308])],
+        ids=["std-overflows", "mean-overflows"],
+    )
+    def test_finite_sample_whose_std_overflows_rejected(self, sample):
+        with pytest.raises(ValueError, match="sample std is not finite"):
+            find_centering_anchor(sample)
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -340,6 +340,12 @@ class TestParamsCommand:
         assert "--expect" in captured.err and "'abc'" in captured.err
         assert captured.out == ""  # refused before any table is printed
 
+    def test_expect_with_extra_fields_refused_naming_the_flag(self, capsys):
+        assert run_cli("params", "--depth", "8", "--width-divisor", "8", "--expect", "81364:0:999") == 1
+        captured = capsys.readouterr()
+        assert "--expect" in captured.err and "3 fields" in captured.err
+        assert captured.out == ""
+
     def test_width_divisor_matches_closed_form(self, capsys):
         from test_plainnet import closed_form_count
         from actlab.plainnet import DEPTH_LAYOUTS
@@ -431,6 +437,15 @@ class TestCenterOracleCommand:
         rc = run_cli("center-oracle", "--input", sample)
         assert rc == 1
         assert f"--input {sample}: sample value 2 is {bad}, not finite" in capsys.readouterr().err
+
+    def test_sample_whose_std_overflows_refused(self, tmp_path, capsys):
+        sample = tmp_path / "sample.txt"
+        np.savetxt(sample, np.random.default_rng(0).standard_normal(500) * 1e160)
+        rc = run_cli("center-oracle", "--input", sample)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: sample std is not finite")
+        assert "iteration cap" not in captured.out
 
 
 def test_byte_identical_outputs_across_reruns(tmp_path):

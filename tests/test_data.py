@@ -15,9 +15,7 @@ from actlab.data import (
     Dataset,
     atomic_write,
     batches,
-    ensure_channel_stats,
     load_cifar100,
-    read_cifar_records,
     subset,
     write_cifar_records,
     write_synthetic_cifar100,
@@ -40,16 +38,56 @@ def fixture_dir(tmp_path):
     return tmp_path, coarse, fine, pixels
 
 
+def read_records(path):
+    """(coarse, fine, pixels [N,3,32,32]) as uint8, read with numpy straight
+    from the 3074-byte record layout: coarse byte, fine byte, 3072 pixels."""
+    records = np.fromfile(path, dtype=np.uint8).reshape(-1, RECORD_BYTES)
+    return records[:, 0], records[:, 1], records[:, 2:].reshape(-1, 3, 32, 32)
+
+
 def unit_pixels(data_dir, split):
     """A split's pixels as x/255 in float32, before standardization."""
-    _, fine, pixels = read_cifar_records(data_dir / f"{split}.bin")
+    _, fine, pixels = read_records(data_dir / f"{split}.bin")
     return pixels.astype(np.float32) / np.float32(255.0), fine
+
+
+def _edited(**fields):
+    """A sidecar damage: the good sidecar with each given field set to its
+    value, or dropped where the value is None."""
+
+    def damage(good):
+        stats = json.loads(good)
+        for key, value in fields.items():
+            if value is None:
+                del stats[key]
+            else:
+                stats[key] = value
+        return json.dumps(stats).encode()
+
+    return damage
+
+
+# each maps the good sidecar's text to the damaged sidecar's bytes
+DAMAGED_SIDECARS = {
+    "list": lambda good: b"[1, 2]",
+    "truncated": lambda good: good[:-20].encode(),
+    "not-utf8": lambda good: b"\xff\xfe",
+    "other-identity": _edited(train_sha256="0"),
+    "no-mean": _edited(mean=None),
+    "one-value-mean": _edited(mean=[0.1]),
+    "string-std": _edited(std="abc"),
+    "string-values-std": _edited(std=["a", "b", "c"]),
+    "object-std": _edited(std={}),
+    "nan-std": _edited(std=[1.0, float("nan"), 1.0]),
+    "inf-mean": _edited(mean=[0.1, 0.2, float("inf")]),
+    "bool-mean": _edited(mean=[True, 0.2, 0.3]),
+}
 
 
 class TestLoader:
     def test_exact_tensors_and_labels_from_fixture(self, fixture_dir):
         d, coarse, fine, pixels = fixture_dir
-        got_coarse, got_fine, got_pixels = read_cifar_records(d / "train.bin")
+        got_coarse, got_fine, got_pixels = read_records(d / "train.bin")
         for got, want in ((got_coarse, coarse), (got_fine, fine), (got_pixels, pixels)):
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
@@ -84,7 +122,7 @@ class TestLoader:
     def test_roundtrip_is_byte_identical(self, fixture_dir, tmp_path):
         d, *_ = fixture_dir
         out = tmp_path / "resaved.bin"
-        write_cifar_records(out, *read_cifar_records(d / "train.bin"))
+        write_cifar_records(out, *read_records(d / "train.bin"))
         assert out.read_bytes() == (d / "train.bin").read_bytes()
 
 
@@ -116,19 +154,38 @@ class TestStandardization:
 
     def test_sidecar_written_once_and_reused(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 2, 1, num_classes=5, seed=1)
-        stats1 = ensure_channel_stats(tmp_path)
+        load_cifar100(tmp_path, "train")
         sidecar = tmp_path / "channel_stats.json"
         assert sidecar.exists()
+        stats1 = json.loads(sidecar.read_text())
         assert len(stats1["mean"]) == 3 and len(stats1["std"]) == 3
-        # a second call must read the sidecar, not recompute
+        # a second load must read the sidecar, not recompute
         mutated = dict(stats1)
         mutated["mean"] = [0.5, 0.5, 0.5]
         sidecar.write_text(json.dumps(mutated))
-        assert ensure_channel_stats(tmp_path)["mean"] == [0.5, 0.5, 0.5]
+        ds = load_cifar100(tmp_path, "train")
+        assert json.loads(sidecar.read_text())["mean"] == [0.5, 0.5, 0.5]
+        x, _ = unit_pixels(tmp_path, "train")
+        std = np.asarray(stats1["std"], dtype=np.float32).reshape(1, 3, 1, 1)
+        assert ds.images.tobytes() == ((x - np.float32(0.5)) / std).tobytes()
+
+    @pytest.mark.parametrize("damage", DAMAGED_SIDECARS.values(), ids=DAMAGED_SIDECARS.keys())
+    def test_damaged_sidecar_is_recomputed_and_replaced(self, tmp_path, damage):
+        fresh, damaged = tmp_path / "fresh", tmp_path / "damaged"
+        for d in (fresh, damaged):
+            write_synthetic_cifar100(d, 2, 1, num_classes=5, seed=1)
+        load_cifar100(fresh, "train")
+        good = (fresh / "channel_stats.json").read_text()
+        sidecar = damaged / "channel_stats.json"
+        sidecar.write_bytes(damage(good))
+        for split in ("test", "train"):
+            got = load_cifar100(damaged, split)
+            assert got.images.tobytes() == load_cifar100(fresh, split).images.tobytes()
+            assert sidecar.read_text() == good
 
     def test_train_split_checks_sidecar_without_reopening_train_bin(self, tmp_path, monkeypatch):
         write_synthetic_cifar100(tmp_path, 2, 1, num_classes=5, seed=1)
-        ensure_channel_stats(tmp_path)
+        load_cifar100(tmp_path, "train")
         opened = []
 
         def recording_open(path, *args, **kwargs):
@@ -163,9 +220,9 @@ class TestStandardization:
 
     def test_test_split_uses_train_statistics(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 4, 4, num_classes=10, seed=2)
-        stats = ensure_channel_stats(tmp_path)
-        test_raw, _ = unit_pixels(tmp_path, "test")
         test_norm = load_cifar100(tmp_path, "test")
+        stats = json.loads((tmp_path / "channel_stats.json").read_text())
+        test_raw, _ = unit_pixels(tmp_path, "test")
         mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
         std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
         np.testing.assert_allclose(test_norm.images, (test_raw - mean) / std, rtol=1e-6)
@@ -250,6 +307,22 @@ class TestSynthetic:
         write_synthetic_cifar100(tmp_path / "a", 2, 1, num_classes=4, seed=9)
         write_synthetic_cifar100(tmp_path / "b", 2, 1, num_classes=4, seed=9)
         assert (tmp_path / "a" / "train.bin").read_bytes() == (tmp_path / "b" / "train.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("num_classes", 300), ("num_classes", 257), ("num_classes", 0),
+         ("train_per_class", 0), ("test_per_class", 0), ("test_per_class", -1)],
+    )
+    def test_out_of_range_arguments_refused_by_name(self, tmp_path, name, value):
+        args = {"train_per_class": 1, "test_per_class": 1, "num_classes": 4, name: value}
+        with pytest.raises(ValueError, match=name):
+            write_synthetic_cifar100(tmp_path / "d", **args)
+        assert not (tmp_path / "d").exists()
+
+    def test_256_classes_keep_distinct_labels(self, tmp_path):
+        write_synthetic_cifar100(tmp_path, 1, 1, num_classes=256, seed=0)
+        _, fine, _ = read_records(tmp_path / "train.bin")
+        assert sorted(fine.tolist()) == list(range(256))
 
     def test_classes_are_separable_by_prototype_distance(self, tmp_path):
         # nearest class prototype (computed from train) classifies test well

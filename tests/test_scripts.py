@@ -4,7 +4,18 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_make_synthetic_data_refuses_too_many_classes(tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    monkeypatch.setattr(sys, "argv", ["make_synthetic_data.py", "--out", str(out), "--classes", "300"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "make_synthetic_data.py"), run_name="__main__")
+    assert str(exc.value.code).startswith("error: num_classes must be in 1..256")
+    assert not out.exists()
 
 
 def test_desk_suite_untrained_pair_is_undecided(tmp_path, monkeypatch, capsys):

@@ -35,7 +35,7 @@ from actlab.activations import (
 )
 from actlab.config import PRESETS, ExperimentConfig
 from actlab.data import DATA_DIR_ENV, atomic_write, default_data_dir, load_cifar100, subset
-from actlab.plainnet import DEPTH_LAYOUTS, PlainNetConfig, build, count_params
+from actlab.plainnet import DEPTH_LAYOUTS, build, count_params
 from actlab.probes import drift_experiment
 from actlab.tensor import (
     Tensor,
@@ -92,7 +92,10 @@ def _merge_config(args) -> ExperimentConfig:
     if args.preset:
         merged.update(PRESETS[args.preset]())
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # malformed JSON, or not UTF-8
+            raise ValueError(f"--config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object, got {type(loaded).__name__}")
         merged.update(loaded)
@@ -314,11 +317,7 @@ def cmd_params(args) -> int:
         expected = _parse_list("--expect", args.expect, lambda p: int(p.replace("_", "").replace(",", "")), "an integer", ":")
         if len(expected) > 2:
             raise ValueError(f"--expect takes TOTAL[:ACTIVATION], got {len(expected)} fields in {args.expect!r}")
-    cfg = PlainNetConfig(
-        depth=args.depth,
-        width_divisor=args.width_divisor,
-        activation=ActivationKind.parse(args.activation),
-    )
+    cfg = ExperimentConfig(depth=args.depth, width_divisor=args.width_divisor, activation=args.activation)
     model = build(cfg, np.random.default_rng(0))
     report = count_params(model)
     print(report.format_table())
@@ -376,7 +375,10 @@ def cmd_center_oracle(args) -> int:
     if args.input:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
-            sample = np.loadtxt(args.input, dtype=np.float64).ravel()
+            try:
+                sample = np.loadtxt(args.input, dtype=np.float64).ravel()
+            except ValueError as exc:
+                raise ValueError(f"--input {args.input}: {exc}") from None
         if sample.size == 0:
             raise ValueError(f"--input {args.input} holds no sample values")
         finite = np.isfinite(sample)
@@ -469,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # every --seed flag seeds a numpy generator
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 
 from actlab.activations import ActivationKind
-from actlab.plainnet import PlainNetConfig
+from actlab.plainnet import conv_channels
 
 __all__ = ["SCHEMA_VERSION", "ExperimentConfig", "PRESETS"]
 
@@ -64,7 +64,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not accepts(value):
                 raise ValueError(f"{f.name} must be {expected}, got {value!r}")
-        ActivationKind.parse(self.activation)  # fail fast on typos
+        self.activation = ActivationKind.parse(self.activation).value  # the canonical name
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         for name in ("num_classes", "batch_size", "train_per_class", "test_per_class"):
@@ -73,15 +73,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must list at least one seed and none twice, got {self.seeds}")
-        self.model_config().scaled_channels()  # depth and width_divisor
-
-    def model_config(self) -> PlainNetConfig:
-        return PlainNetConfig(
-            depth=self.depth,
-            width_divisor=self.width_divisor,
-            activation=ActivationKind.parse(self.activation),
-            num_classes=self.num_classes,
-        )
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
+        conv_channels(self.depth, self.width_divisor)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -11,10 +11,10 @@ mean/std computed over the train split and cached in a small JSON
 sidecar next to the data files, so the test split is normalized with
 train statistics. The sidecar records train.bin's size and sha256 and
 is recomputed whenever they no longer match or it does not hold three
-finite means and stds. A split is decoded once, into the float32 array
-that is then standardized in place. No augmentation of any kind is
-applied here: the training recipes this lab studies are
-deliberately bare, and augmenting would confound them.
+finite means and three finite stds above 0. A split is decoded once,
+into the float32 array that is then standardized in place. No
+augmentation of any kind is applied here: the training recipes this lab
+studies are deliberately bare, and augmenting would confound them.
 
 Every file actlab writes goes through :func:`atomic_write`, so a killed
 process never leaves a half-written file in place of a good one.
@@ -38,7 +38,6 @@ __all__ = [
     "STATS_FILE",
     "DATA_DIR_ENV",
     "Dataset",
-    "BatchPlan",
     "atomic_write",
     "write_cifar_records",
     "load_cifar100",
@@ -156,10 +155,12 @@ def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) 
     Cached in a JSON sidecar together with train.bin's size and sha256.
     The sidecar is reused only while it is a JSON object whose size and
     sha256 match train.bin and whose ``mean`` and ``std`` each hold three
-    finite floats, as this function writes them. Anything else
-    (unreadable JSON, another identity, a missing or malformed field) is
-    stale: the statistics are recomputed and the sidecar is replaced
-    atomically. ``train`` is train.bin's records and their x/255 pixels
+    finite floats, every std above 0, as this function writes them.
+    Anything else (unreadable JSON, another identity, a missing or
+    malformed field, a std of 0 or below) is stale: the statistics are
+    recomputed and the sidecar is replaced atomically. A train split with
+    a channel whose own std is 0 is refused, naming train.bin and the
+    channel. ``train`` is train.bin's records and their x/255 pixels
     when the caller has already read and decoded them; without it
     train.bin is read here.
     """
@@ -172,6 +173,9 @@ def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) 
     x = _unit_pixels(_read_records(train_path)) if train is None else train[1]
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
     std = _channel_std(x, mean)
+    for ch, s in enumerate(std):
+        if not s > 0:
+            raise ValueError(f"{train_path}: channel {ch} has std {s}, so it cannot be standardized")
     stats = {
         "mean": [float(m) for m in mean],
         "std": [float(s) for s in std],
@@ -199,6 +203,8 @@ def _cached_stats(sidecar: Path, identity: dict) -> dict | None:
             return None
         if not all(type(v) is float and math.isfinite(v) for v in values):
             return None
+    if not all(s > 0 for s in stats["std"]):
+        return None
     return stats
 
 
@@ -262,25 +268,13 @@ def subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
     return Dataset(images=ds.images[sel], fine_labels=ds.fine_labels[sel])
 
 
-@dataclass
-class BatchPlan:
-    """Reproducible epoch ordering: the permutation is a pure function of
+def batches(ds: Dataset, batch_size: int, seed: int, epoch: int):
+    """Yield (images, labels) chunks of ``batch_size`` in shuffled order;
+    the last short batch is kept. The order is a pure function of
     (seed, epoch)."""
-
-    seed: int
-    batch_size: int = 128
-    epoch: int = 0
-
-    def permutation(self, n: int) -> np.ndarray:
-        return np.random.default_rng([self.seed, self.epoch]).permutation(n)
-
-
-def batches(ds: Dataset, plan: BatchPlan):
-    """Yield (images, labels) chunks in shuffled order; the last short
-    batch is kept."""
-    order = plan.permutation(len(ds))
-    for start in range(0, len(ds), plan.batch_size):
-        sel = order[start : start + plan.batch_size]
+    order = np.random.default_rng([seed, epoch]).permutation(len(ds))
+    for start in range(0, len(ds), batch_size):
+        sel = order[start : start + batch_size]
         yield ds.images[sel], ds.fine_labels[sel]
 
 
@@ -316,6 +310,8 @@ def write_synthetic_cifar100(
     for name, per_class in (("train_per_class", train_per_class), ("test_per_class", test_per_class)):
         if per_class < 1:
             raise ValueError(f"{name} must be at least 1, got {per_class}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -17,11 +17,17 @@ as "a shallower/deeper PlainNet", not as a pinned reference.
 
 When zc_swish is selected, its parameter triples attach to conv
 activation sites only; the head activation stays a plain ReLU.
+
+:func:`build` takes the run's :class:`~actlab.config.ExperimentConfig`
+and reads its ``depth``, ``width_divisor``, ``activation`` and
+``num_classes``; :func:`conv_channels` is the one check of depth and
+width divisor, for the config and for ``build`` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,15 +35,18 @@ from actlab.activations import ActivationKind, ZCSwishParams, apply_activation
 from actlab.tensor import DEFAULT_DTYPE, ShapeError, Tensor, dropout, linear, maxpool2, reshape
 from actlab import tensor as T
 
+if TYPE_CHECKING:
+    from actlab.config import ExperimentConfig
+
 __all__ = [
     "INPUT_CHANNELS",
     "INPUT_SIZE",
     "DEPTH_LAYOUTS",
     "DROPOUT_P",
-    "PlainNetConfig",
     "PlainNet",
     "ParamCountReport",
     "build",
+    "conv_channels",
     "count_params",
 ]
 
@@ -63,36 +72,19 @@ HEAD_WIDTH = 512
 DROPOUT_P = 0.5  # the head's dropout rate in training
 
 
-@dataclass
-class PlainNetConfig:
-    """Architecture knobs. The conv layout is ``DEPTH_LAYOUTS[depth]``;
-    width_divisor shrinks every channel count for desk-scale runs
-    (1 = full scale)."""
-
-    depth: int = 16
-    width_divisor: int = 1
-    activation: ActivationKind = ActivationKind.RELU
-    num_classes: int = 100
-
-    def __post_init__(self):
-        if isinstance(self.activation, str):
-            self.activation = ActivationKind.parse(self.activation)
-        if self.depth not in DEPTH_LAYOUTS:
-            raise ValueError(f"depth must be one of {sorted(DEPTH_LAYOUTS)}, got {self.depth}")
-
-    def scaled_channels(self) -> list[int]:
-        w = self.width_divisor
-        if w < 1:
-            raise ValueError(f"width_divisor must be a positive integer, got {w}")
-        progression = DEPTH_LAYOUTS[self.depth][0]
-        for ch in (*progression, HEAD_WIDTH):
-            if ch % w != 0:
-                raise ValueError(f"width_divisor {w} does not divide channel count {ch}")
-        return [ch // w for ch in progression]
-
-    @property
-    def head_width(self) -> int:
-        return HEAD_WIDTH // self.width_divisor
+def conv_channels(depth: int, width_divisor: int) -> list[int]:
+    """The conv output channels of ``DEPTH_LAYOUTS[depth]``, each divided
+    by ``width_divisor`` (1 = full scale), which must divide every conv
+    channel count and the head width. The one check of both values."""
+    if depth not in DEPTH_LAYOUTS:
+        raise ValueError(f"depth must be one of {sorted(DEPTH_LAYOUTS)}, got {depth}")
+    if width_divisor < 1:
+        raise ValueError(f"width_divisor must be a positive integer, got {width_divisor}")
+    progression = DEPTH_LAYOUTS[depth][0]
+    for ch in (*progression, HEAD_WIDTH):
+        if ch % width_divisor != 0:
+            raise ValueError(f"width_divisor {width_divisor} does not divide channel count {ch}")
+    return [ch // width_divisor for ch in progression]
 
 
 @dataclass
@@ -192,59 +184,45 @@ class PlainNet:
         return [l for l in self.layers if l.kind in ("conv", "linear")]
 
 
-def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> Tensor:
-    # default framework-style init: U(-1/sqrt(fan_in), +1/sqrt(fan_in)),
-    # drawn in float64 then cast, so the stream is dtype-independent
+def _weight_layer(rng: np.random.Generator, name: str, kind: str, shape: tuple[int, ...], fan_in: int, dtype) -> WeightLayer:
+    # default framework-style init: weight, then bias, each
+    # U(-1/sqrt(fan_in), +1/sqrt(fan_in)), drawn in float64 then cast, so
+    # the stream is dtype-independent
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    weight, bias = (rng.uniform(-bound, bound, size=size).astype(dtype) for size in (shape, shape[:1]))
+    return WeightLayer(name, kind, Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True))
 
 
-def build(config: PlainNetConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> PlainNet:
-    """Construct and initialize a PlainNet.
+def build(config: ExperimentConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> PlainNet:
+    """Construct and initialize the PlainNet of a run's config, from its
+    ``depth``, ``width_divisor``, ``activation`` and ``num_classes``.
 
     Weights and biases are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)]
     (fan_in = C_in*9 for conv, F_in for linear); zc_swish triples start
     at their documented defaults. Deterministic for a given generator
     state: draw order is layer by layer, weight then bias.
     """
-    channels = config.scaled_channels()
+    channels = conv_channels(config.depth, config.width_divisor)
     pool_after = DEPTH_LAYOUTS[config.depth][1]
+    activation = ActivationKind.parse(config.activation)
     dtype = np.dtype(dtype)
     layers: list = []
     in_c = INPUT_CHANNELS
-    zc = config.activation is ActivationKind.ZCSWISH
     for i, out_c in enumerate(channels, start=1):
-        name = f"conv{i}"
-        layers.append(
-            WeightLayer(
-                name,
-                "conv",
-                weight=_uniform_fan_in(rng, (out_c, in_c, 3, 3), in_c * 9, dtype),
-                bias=_uniform_fan_in(rng, (out_c,), in_c * 9, dtype),
-            )
-        )
-        params = ZCSwishParams.initial(out_c, dtype=dtype) if zc else None
-        layers.append(ActivationSite(f"act{i}", config.activation, params))
+        layers.append(_weight_layer(rng, f"conv{i}", "conv", (out_c, in_c, 3, 3), in_c * 9, dtype))
+        params = ZCSwishParams.initial(out_c, dtype=dtype) if activation is ActivationKind.ZCSWISH else None
+        layers.append(ActivationSite(f"act{i}", activation, params))
         if i in pool_after:
             layers.append(Layer(f"pool{i}", "maxpool"))
         in_c = out_c
-    layers.append(Layer("flatten", "flatten"))
-    hw = config.head_width
-    layers.append(
-        WeightLayer(
-            "fc1", "linear", weight=_uniform_fan_in(rng, (hw, hw), hw, dtype), bias=_uniform_fan_in(rng, (hw,), hw, dtype)
-        )
-    )
-    layers.append(ActivationSite("act_fc1", ActivationKind.RELU, None))
-    layers.append(Layer("drop_fc1", "dropout"))
-    layers.append(
-        WeightLayer(
-            "fc2",
-            "linear",
-            weight=_uniform_fan_in(rng, (config.num_classes, hw), hw, dtype),
-            bias=_uniform_fan_in(rng, (config.num_classes,), hw, dtype),
-        )
-    )
+    hw = HEAD_WIDTH // config.width_divisor
+    layers += [
+        Layer("flatten", "flatten"),
+        _weight_layer(rng, "fc1", "linear", (hw, hw), hw, dtype),
+        ActivationSite("act_fc1", ActivationKind.RELU),
+        Layer("drop_fc1", "dropout"),
+        _weight_layer(rng, "fc2", "linear", (config.num_classes, hw), hw, dtype),
+    ]
     return PlainNet(layers, dtype)
 
 

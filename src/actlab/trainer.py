@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from actlab.config import ExperimentConfig
-from actlab.data import BatchPlan, Dataset, batches, eval_batches
+from actlab.data import Dataset, batches, eval_batches
 from actlab.plainnet import PlainNet, build, count_params
 from actlab.probes import grad_norm, layer_stats
 from actlab.tensor import Tape, Tensor, softmax_cross_entropy
@@ -187,7 +187,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     ``config.epochs`` passes of AdamW with per-epoch evaluation and
     layer statistics on a fixed probe batch."""
     seed = config.seeds[0] if seed is None else seed
-    model = build(config.model_config(), np.random.default_rng([seed, RNG_INIT]), dtype=np.float32)
+    model = build(config, np.random.default_rng([seed, RNG_INIT]), dtype=np.float32)
     report = count_params(model)
     dropout_rng = np.random.default_rng([seed, RNG_DROPOUT])
     probe_rng = np.random.default_rng([seed, RNG_PROBE])
@@ -216,8 +216,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     step = 0
     warned = False
     for epoch in range(1, config.epochs + 1):
-        plan = BatchPlan(seed=seed, batch_size=config.batch_size, epoch=epoch)
-        for images, labels in batches(train_ds, plan):
+        for images, labels in batches(train_ds, config.batch_size, seed, epoch):
             step += 1
             x = Tensor(images.astype(np.float32, copy=False))
             model.zero_grad()

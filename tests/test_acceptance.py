@@ -25,8 +25,9 @@ from actlab.activations import (
     find_centering_anchor,
     zc_swish_eval,
 )
+from actlab.config import ExperimentConfig
 from actlab.data import write_synthetic_cifar100
-from actlab.plainnet import PlainNetConfig, build, count_params
+from actlab.plainnet import build, count_params
 from actlab.probes import drift_experiment
 from actlab.tensor import Tape, Tensor, gradcheck, softmax_cross_entropy, tsum
 
@@ -47,7 +48,7 @@ def test_criterion_1_parameter_counts_exact(capsys):
     assert cli.main(["params", "--depth", "16", "--activation", "zcswish", "--expect", "15041316:12672"]) == 0
     out = capsys.readouterr().out
     assert "0.084%" in out
-    model = build(PlainNetConfig(depth=16, activation=ActivationKind.ZCSWISH), np.random.default_rng(0))
+    model = build(ExperimentConfig(depth=16, activation="zcswish"), np.random.default_rng(0))
     r = count_params(model)
     assert (r.total, r.activation_params) == (15_041_316, 12_672)
     assert f"{r.overhead_ratio * 100:.3f}%" == "0.084%"
@@ -121,7 +122,7 @@ def test_criterion_3_zcswish_gradients_on_grid_and_model():
     assert worst < 1e-5
 
     # full autodiff gradcheck of a depth-8-narrow model in float64
-    cfg = PlainNetConfig(depth=8, width_divisor=8, activation=ActivationKind.ZCSWISH, num_classes=10)
+    cfg = ExperimentConfig(depth=8, width_divisor=8, activation="zcswish", num_classes=10)
     model = build(cfg, np.random.default_rng(42), dtype=np.float64)
     rng2 = np.random.default_rng(7)
     images = Tensor(rng2.standard_normal((2, 3, 32, 32)), dtype=np.float64)
@@ -254,7 +255,7 @@ def test_criterion_8_desk_rerun_is_bit_identical(desk_runs, tmp_path):
 
 
 def test_criterion_9_batch_independence_bitwise():
-    cfg = PlainNetConfig(depth=8, width_divisor=8, activation=ActivationKind.ZCSWISH, num_classes=100)
+    cfg = ExperimentConfig(depth=8, width_divisor=8, activation="zcswish", num_classes=100)
     model = build(cfg, np.random.default_rng(9), dtype=np.float64)
     rng = np.random.default_rng(90)
     batch = rng.standard_normal((8, 3, 32, 32))

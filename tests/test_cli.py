@@ -127,6 +127,33 @@ class TestTrainCommand:
         assert "seeds" in err and "'x'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["3,-1", "-1"])
+    def test_negative_seed_refused_naming_seeds_before_run_dir(self, data_dir, tmp_path, capsys, seeds):
+        out = tmp_path / "runnegativeseed"
+        rc = run_cli(*base_train_args(data_dir, out), "--seeds", seeds)
+        assert rc == 1
+        assert "error: seeds must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_config_json_refused_naming_flag_and_path(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "malformed.json"
+        cfg.write_text('{"depth": 8, x}')
+        out = tmp_path / "runmalformed"
+        rc = run_cli("train", "--data-dir", data_dir, "--config", cfg, "--out", out)
+        assert rc == 1
+        assert f"error: --config {cfg}: Expecting property name" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_activation_name_stored_canonical(self, data_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = base_train_args(data_dir, tmp_path / "unused", activation="ReLU ")
+        args = args[: args.index("--out")]
+        rc = run_cli(*args, "--epochs", "0")
+        assert rc == 0
+        run_dir = tmp_path / "runs" / "relu_d8_w8_e0"
+        assert json.loads((run_dir / "config.json").read_text())["activation"] == "relu"
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "relu"
+
     @pytest.mark.parametrize(
         "bad, flags, field",
         [
@@ -438,6 +465,13 @@ class TestCenterOracleCommand:
         assert rc == 1
         assert f"--input {sample}: sample value 2 is {bad}, not finite" in capsys.readouterr().err
 
+    def test_unparsable_input_refused_naming_the_path(self, tmp_path, capsys, no_solve):
+        sample = tmp_path / "bad.txt"
+        sample.write_text("abc\n")
+        rc = run_cli("center-oracle", "--input", sample)
+        assert rc == 1
+        assert f"error: --input {sample}: could not convert string 'abc'" in capsys.readouterr().err
+
     def test_sample_whose_std_overflows_refused(self, tmp_path, capsys):
         sample = tmp_path / "sample.txt"
         np.savetxt(sample, np.random.default_rng(0).standard_normal(500) * 1e160)
@@ -446,6 +480,15 @@ class TestCenterOracleCommand:
         assert rc == 1
         assert captured.err.startswith("error: sample std is not finite")
         assert "iteration cap" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["drift", "center-oracle", "gradcheck"])
+def test_negative_seed_refused_naming_the_flag(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli(command, "--seed", "-1")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_byte_identical_outputs_across_reruns(tmp_path):

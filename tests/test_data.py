@@ -1,4 +1,4 @@
-"""Loader byte-exactness, standardization, subsetting, batch plans."""
+"""Loader byte-exactness, standardization, subsetting, batch order."""
 
 import json
 from pathlib import Path
@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 import actlab.data as data
 from actlab.data import (
     RECORD_BYTES,
-    BatchPlan,
     Dataset,
     atomic_write,
     batches,
@@ -67,6 +66,17 @@ def _edited(**fields):
     return damage
 
 
+def _first_std(value):
+    """A sidecar damage: the good sidecar with ``std[0]`` set to ``value``."""
+
+    def damage(good):
+        stats = json.loads(good)
+        stats["std"][0] = value
+        return json.dumps(stats).encode()
+
+    return damage
+
+
 # each maps the good sidecar's text to the damaged sidecar's bytes
 DAMAGED_SIDECARS = {
     "list": lambda good: b"[1, 2]",
@@ -81,6 +91,8 @@ DAMAGED_SIDECARS = {
     "nan-std": _edited(std=[1.0, float("nan"), 1.0]),
     "inf-mean": _edited(mean=[0.1, 0.2, float("inf")]),
     "bool-mean": _edited(mean=[True, 0.2, 0.3]),
+    "zero-std": _first_std(0.0),
+    "negative-std": _first_std(-1.0),
 }
 
 
@@ -218,6 +230,17 @@ class TestStandardization:
         np.testing.assert_allclose(ds.images.mean(axis=(0, 2, 3), dtype=np.float64), 0.0, atol=1e-3)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["channel_stats.json", "train.bin"]
 
+    def test_constant_channel_train_split_refused_naming_file_and_channel(self, tmp_path):
+        labels = np.arange(4, dtype=np.uint8)
+        pixels = np.random.default_rng(0).integers(0, 256, size=(4, 3, 32, 32), dtype=np.uint8)
+        pixels[:, 1] = 77
+        for split in ("train", "test"):
+            write_cifar_records(tmp_path / f"{split}.bin", labels, labels, pixels)
+        for split in ("train", "test"):
+            with pytest.raises(ValueError, match=r"train\.bin: channel 1 has std 0\.0"):
+                load_cifar100(tmp_path, split)
+        assert not (tmp_path / "channel_stats.json").exists()
+
     def test_test_split_uses_train_statistics(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 4, 4, num_classes=10, seed=2)
         test_norm = load_cifar100(tmp_path, "test")
@@ -274,23 +297,21 @@ class TestBatches:
 
     def test_batch_sizes_with_short_tail(self):
         ds = self.make_ds(300)
-        sizes = [len(lab) for _, lab in batches(ds, BatchPlan(seed=0, batch_size=128, epoch=0))]
+        sizes = [len(lab) for _, lab in batches(ds, batch_size=128, seed=0, epoch=0)]
         assert sizes == [128, 128, 44]
 
     def test_epochs_shuffle_differently_but_reproducibly(self):
         ds = self.make_ds(64)
-        plan0 = BatchPlan(seed=5, batch_size=64, epoch=0)
-        plan1 = BatchPlan(seed=5, batch_size=64, epoch=1)
-        order0 = next(iter(batches(ds, plan0)))[1]
-        order1 = next(iter(batches(ds, plan1)))[1]
+        order0 = next(iter(batches(ds, batch_size=64, seed=5, epoch=0)))[1]
+        order1 = next(iter(batches(ds, batch_size=64, seed=5, epoch=1)))[1]
         assert not np.array_equal(order0, order1)
-        np.testing.assert_array_equal(order0, next(iter(batches(ds, plan0)))[1])
+        np.testing.assert_array_equal(order0, next(iter(batches(ds, batch_size=64, seed=5, epoch=0)))[1])
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=200), bs=st.integers(min_value=1, max_value=64), epoch=st.integers(0, 3))
     def test_concatenation_is_a_permutation_of_the_dataset(self, n, bs, epoch):
         ds = self.make_ds(n)
-        all_labels = np.concatenate([lab for _, lab in batches(ds, BatchPlan(seed=9, batch_size=bs, epoch=epoch))])
+        all_labels = np.concatenate([lab for _, lab in batches(ds, batch_size=bs, seed=9, epoch=epoch)])
         assert sorted(all_labels.tolist()) == list(range(n))
 
 
@@ -311,7 +332,7 @@ class TestSynthetic:
     @pytest.mark.parametrize(
         "name, value",
         [("num_classes", 300), ("num_classes", 257), ("num_classes", 0),
-         ("train_per_class", 0), ("test_per_class", 0), ("test_per_class", -1)],
+         ("train_per_class", 0), ("test_per_class", 0), ("test_per_class", -1), ("seed", -1)],
     )
     def test_out_of_range_arguments_refused_by_name(self, tmp_path, name, value):
         args = {"train_per_class": 1, "test_per_class": 1, "num_classes": 4, name: value}

@@ -1,14 +1,15 @@
 """Architecture construction, exact parameter counts, batch independence."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from actlab.activations import ActivationKind
+from actlab.config import ExperimentConfig
 from actlab.plainnet import (
     DEPTH_LAYOUTS,
-    PlainNetConfig,
     build,
     count_params,
 )
@@ -18,6 +19,14 @@ from actlab.tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 CANONICAL_TOTAL_BASELINE = 15_028_644
 CANONICAL_TOTAL_ZCSWISH = 15_041_316
 CANONICAL_ACTIVATION_PARAMS = 12_672
+
+# sha256 over every parameter's bytes, in named_parameters order, of the
+# depth-8 width/8 float32 net built from generator seed 0: a change of
+# init formula or draw order changes it
+PARAMETER_SHA256 = {
+    "relu": "1ad1fd0b9c6fd08a0c5a4fe2fd7d0674e2e7f58fa5470c30b6a2ce4851f5922b",
+    "zcswish": "71edf96e45d229d6ff7f29b30780bff319da78264736372629eac188912de6dc",
+}
 
 
 def closed_form_count(progression, width_divisor, num_classes, zc):
@@ -36,13 +45,13 @@ def closed_form_count(progression, width_divisor, num_classes, zc):
 
 class TestParamCounts:
     def test_depth16_baseline_total(self):
-        model = build(PlainNetConfig(depth=16, activation=ActivationKind.RELU), np.random.default_rng(0))
+        model = build(ExperimentConfig(depth=16, activation="relu"), np.random.default_rng(0))
         report = count_params(model)
         assert report.total == CANONICAL_TOTAL_BASELINE
         assert report.activation_params == 0
 
     def test_depth16_zcswish_total_and_overhead(self):
-        model = build(PlainNetConfig(depth=16, activation=ActivationKind.ZCSWISH), np.random.default_rng(0))
+        model = build(ExperimentConfig(depth=16, activation="zcswish"), np.random.default_rng(0))
         report = count_params(model)
         assert report.total == CANONICAL_TOTAL_ZCSWISH
         assert report.activation_params == CANONICAL_ACTIVATION_PARAMS
@@ -51,14 +60,14 @@ class TestParamCounts:
 
     def test_zcswish_total_is_baseline_plus_activation(self):
         for depth in (8, 16, 32):
-            base = count_params(build(PlainNetConfig(depth=depth), np.random.default_rng(0)))
+            base = count_params(build(ExperimentConfig(depth=depth), np.random.default_rng(0)))
             zc = count_params(
-                build(PlainNetConfig(depth=depth, activation=ActivationKind.ZCSWISH), np.random.default_rng(0))
+                build(ExperimentConfig(depth=depth, activation="zcswish"), np.random.default_rng(0))
             )
             assert zc.total == base.total + zc.activation_params
 
     def test_single_conv_layer_count(self):
-        model = build(PlainNetConfig(depth=16), np.random.default_rng(0))
+        model = build(ExperimentConfig(depth=16), np.random.default_rng(0))
         per_layer = dict(count_params(model).per_layer)
         assert per_layer["conv1"] == 3 * 64 * 9 + 64 == 1_792
 
@@ -67,13 +76,13 @@ class TestParamCounts:
     @pytest.mark.parametrize("zc", [False, True])
     def test_every_config_matches_closed_form_oracle(self, depth, width_divisor, zc):
         kind = ActivationKind.ZCSWISH if zc else ActivationKind.GELU
-        cfg = PlainNetConfig(depth=depth, width_divisor=width_divisor, activation=kind)
+        cfg = ExperimentConfig(depth=depth, width_divisor=width_divisor, activation=kind.value)
         report = count_params(build(cfg, np.random.default_rng(1)))
         total, act = closed_form_count(DEPTH_LAYOUTS[depth][0], width_divisor, 100, zc)
         assert (report.total, report.activation_params) == (total, act)
 
     def test_format_table_mentions_totals(self):
-        model = build(PlainNetConfig(depth=8, width_divisor=8), np.random.default_rng(0))
+        model = build(ExperimentConfig(depth=8, width_divisor=8), np.random.default_rng(0))
         table = count_params(model).format_table()
         assert "total" in table and "overhead" in table
 
@@ -81,14 +90,28 @@ class TestParamCounts:
 class TestBuild:
     def test_indivisible_width_rejected(self):
         with pytest.raises(ValueError, match="width_divisor 7"):
-            build(PlainNetConfig(depth=8, width_divisor=7), np.random.default_rng(0))
+            build(ExperimentConfig(depth=8, width_divisor=7), np.random.default_rng(0))
+
+    def test_build_checks_width_of_a_changed_config(self):
+        cfg = ExperimentConfig(depth=8, width_divisor=8)
+        cfg.width_divisor = 7
+        with pytest.raises(ValueError, match="width_divisor 7"):
+            build(cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("activation", sorted(PARAMETER_SHA256))
+    def test_parameter_bytes_pinned_at_seed_0(self, activation):
+        cfg = ExperimentConfig(depth=8, width_divisor=8, activation=activation)
+        digest = hashlib.sha256()
+        for _, t in build(cfg, np.random.default_rng(0), dtype=np.float32).named_parameters():
+            digest.update(t.data.tobytes())
+        assert digest.hexdigest() == PARAMETER_SHA256[activation]
 
     def test_unknown_depth_rejected(self):
         with pytest.raises(ValueError, match="depth"):
-            PlainNetConfig(depth=12)
+            ExperimentConfig(depth=12)
 
     def test_init_respects_fan_in_bounds(self):
-        model = build(PlainNetConfig(depth=8, width_divisor=4), np.random.default_rng(3))
+        model = build(ExperimentConfig(depth=8, width_divisor=4), np.random.default_rng(3))
         for layer in model.weight_layers():
             fan_in = layer.weight.shape[1] * 9 if layer.kind == "conv" else layer.weight.shape[1]
             bound = 1.0 / np.sqrt(fan_in)
@@ -96,7 +119,7 @@ class TestBuild:
             assert np.abs(layer.bias.data).max() <= bound
 
     def test_same_seed_same_weights(self):
-        cfg = PlainNetConfig(depth=8, width_divisor=8, activation=ActivationKind.ZCSWISH)
+        cfg = ExperimentConfig(depth=8, width_divisor=8, activation="zcswish")
         a = build(cfg, np.random.default_rng(42))
         b = build(cfg, np.random.default_rng(42))
         for (na, ta), (nb, tb) in zip(a.named_parameters(), b.named_parameters()):
@@ -104,14 +127,14 @@ class TestBuild:
             np.testing.assert_array_equal(ta.data, tb.data)
 
     def test_zcswish_triples_start_at_documented_defaults(self):
-        model = build(PlainNetConfig(depth=8, width_divisor=8, activation=ActivationKind.ZCSWISH), np.random.default_rng(0))
+        model = build(ExperimentConfig(depth=8, width_divisor=8, activation="zcswish"), np.random.default_rng(0))
         site = model.activation_sites()[0]
         np.testing.assert_allclose(site.params.c.data, 0.01)
         np.testing.assert_allclose(site.params.beta_raw.data, 0.5413)
         np.testing.assert_allclose(site.params.g.data, 1.0)
 
     def test_head_activation_stays_relu_for_zcswish(self):
-        model = build(PlainNetConfig(depth=8, width_divisor=8, activation=ActivationKind.ZCSWISH), np.random.default_rng(0))
+        model = build(ExperimentConfig(depth=8, width_divisor=8, activation="zcswish"), np.random.default_rng(0))
         head_sites = [s for s in model.activation_sites() if s.name == "act_fc1"]
         assert head_sites[0].activation is ActivationKind.RELU
         assert head_sites[0].params is None
@@ -119,7 +142,7 @@ class TestBuild:
 
 class TestForward:
     def make_model(self, activation=ActivationKind.RELU, dtype=np.float32, seed=0):
-        cfg = PlainNetConfig(depth=8, width_divisor=8, activation=activation)
+        cfg = ExperimentConfig(depth=8, width_divisor=8, activation=activation.value)
         return build(cfg, np.random.default_rng(seed), dtype=dtype)
 
     def test_zero_weights_give_chance_loss(self):
@@ -216,7 +239,7 @@ def test_desk_step_gradients_keep_the_bits_of_plain_sums(activation, monkeypatch
     labels = rng.integers(0, 100, size=32)
 
     def step():
-        model = build(PlainNetConfig(depth=8, width_divisor=8, activation=activation), np.random.default_rng(4))
+        model = build(ExperimentConfig(depth=8, width_divisor=8, activation=activation.value), np.random.default_rng(4))
         with Tape() as tape:
             logits = model.forward(Tensor(images), training=True, rng=np.random.default_rng(5))
             tape.backward(softmax_cross_entropy(logits, labels))
@@ -248,7 +271,7 @@ def test_desk_step_gradients_keep_the_bits_of_plain_sums(activation, monkeypatch
 
 class TestAuditAndCheckpoint:
     def test_audit_certifies_plain_structure(self):
-        model = build(PlainNetConfig(depth=16, activation=ActivationKind.ZCSWISH), np.random.default_rng(0))
+        model = build(ExperimentConfig(depth=16, activation="zcswish"), np.random.default_rng(0))
         kinds = Counter(layer.kind for layer in model.layers)
         # six plain kinds only: no normalization layer, and a flat list
         # has no skip junction

@@ -16,7 +16,8 @@ import actlab
 import actlab.activations as activations
 import actlab.probes as probes
 from actlab.activations import ActivationKind
-from actlab.plainnet import PlainNetConfig, build
+from actlab.config import ExperimentConfig
+from actlab.plainnet import build
 from actlab.probes import DriftReport, _spearman, drift_experiment, grad_norm, layer_stats
 from actlab.tensor import Tensor, softmax_cross_entropy
 
@@ -24,7 +25,7 @@ from oracles import rel_err
 
 
 def narrow_model(activation=ActivationKind.RELU, seed=0, num_classes=10):
-    cfg = PlainNetConfig(depth=8, width_divisor=8, activation=activation, num_classes=num_classes)
+    cfg = ExperimentConfig(depth=8, width_divisor=8, activation=activation.value, num_classes=num_classes)
     return build(cfg, np.random.default_rng(seed))
 
 
@@ -106,7 +107,7 @@ class TestLayerStats:
     def test_logits_grad_norm_matches_full_finite_difference(self):
         # float64 model, every fc2 weight coordinate probed, so the whole
         # gradient-norm value is cross-checked against central differences
-        cfg = PlainNetConfig(depth=8, width_divisor=8, activation=ActivationKind.SWISH, num_classes=4)
+        cfg = ExperimentConfig(depth=8, width_divisor=8, activation="swish", num_classes=4)
         model = build(cfg, np.random.default_rng(11), dtype=np.float64)
         rng = np.random.default_rng(3)
         images = rng.standard_normal((2, 3, 32, 32))

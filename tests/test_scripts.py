@@ -18,6 +18,15 @@ def test_make_synthetic_data_refuses_too_many_classes(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_make_synthetic_data_refuses_a_negative_seed(tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    monkeypatch.setattr(sys, "argv", ["make_synthetic_data.py", "--out", str(out), "--seed", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "make_synthetic_data.py"), run_name="__main__")
+    assert exc.value.code == "error: seed must be a non-negative integer, got -1"
+    assert not out.exists()
+
+
 def test_desk_suite_untrained_pair_is_undecided(tmp_path, monkeypatch, capsys):
     # at epoch 0 both models are untrained, at exactly chance (1.0%), so
     # the directional check has nothing to decide

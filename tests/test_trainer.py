@@ -10,7 +10,7 @@ import actlab.trainer as trainer_module
 from actlab.cli import _write_csv, _write_json
 from actlab.config import PRESETS, ExperimentConfig
 from actlab.data import Dataset
-from actlab.plainnet import DROPOUT_P, PlainNetConfig, build
+from actlab.plainnet import DROPOUT_P, build
 from actlab.tensor import Tensor
 from actlab.trainer import (
     AdamW,
@@ -113,7 +113,7 @@ def tiny_config(**kw):
 class TestEvaluate:
     def test_random_model_on_100_classes_sits_at_chance(self):
         rng = np.random.default_rng(0)
-        model = build(PlainNetConfig(depth=8, width_divisor=8), np.random.default_rng(1))
+        model = build(ExperimentConfig(depth=8, width_divisor=8), np.random.default_rng(1))
         ds = Dataset(
             images=rng.standard_normal((400, 3, 32, 32)).astype(np.float32),
             fine_labels=rng.integers(0, 100, 400).astype(np.int64),
@@ -123,7 +123,7 @@ class TestEvaluate:
         assert abs(loss - np.log(100.0)) < 0.2
 
     def test_dominant_logit_model_scores_one(self):
-        model = build(PlainNetConfig(depth=8, width_divisor=8, num_classes=4), np.random.default_rng(1))
+        model = build(ExperimentConfig(depth=8, width_divisor=8, num_classes=4), np.random.default_rng(1))
         ds = tiny_dataset()
         # force constant logits that put all mass on the true... a fixed class
         for p in model.parameters():
@@ -134,7 +134,7 @@ class TestEvaluate:
         assert acc == 1.0
 
     def test_hand_built_fixture_accuracy_two_thirds(self):
-        model = build(PlainNetConfig(depth=8, width_divisor=8, num_classes=3), np.random.default_rng(1))
+        model = build(ExperimentConfig(depth=8, width_divisor=8, num_classes=3), np.random.default_rng(1))
         for p in model.parameters():
             p.data[:] = 0.0
         fc2 = [l for l in model.layers if l.name == "fc2"][0]
@@ -148,7 +148,7 @@ class TestEvaluate:
         assert acc == pytest.approx(2.0 / 3.0)
 
     def test_argmax_tie_breaks_to_lowest_class(self):
-        model = build(PlainNetConfig(depth=8, width_divisor=8, num_classes=3), np.random.default_rng(1))
+        model = build(ExperimentConfig(depth=8, width_divisor=8, num_classes=3), np.random.default_rng(1))
         for p in model.parameters():
             p.data[:] = 0.0  # all logits identical
         ds = tiny_dataset(classes=3)
@@ -327,6 +327,8 @@ class TestExperimentConfig:
             ExperimentConfig(epochs=-1)
         with pytest.raises(ValueError, match="seeds must be a list of integers"):
             ExperimentConfig(seeds="42")
+        with pytest.raises(ValueError, match="seeds must be non-negative"):
+            ExperimentConfig(seeds=[3, -1])
         with pytest.raises(ValueError, match="epochs must be an integer"):
             ExperimentConfig(epochs=True)
         with pytest.raises(ValueError, match="depth"):

@@ -19,7 +19,10 @@ Two kernel families exist for conv2d and linear, selected by dtype:
   patch matrix from a channels-last padded input with 9 slice copies and
   returns a channels-last view of the GEMM result. The 9 copies, and the 9
   adds that scatter the patch gradient back, run over the
-  :func:`sample_blocks` of the patch buffer.
+  :func:`sample_blocks` of the patch buffer. On a tape made with
+  ``Tape(keep_patches=True)`` (the training step's) the patch matrix is
+  kept for the weight gradient; on any other tape the backward rebuilds
+  it from the input, with the same bytes.
 * float64 (the verification path): fixed-order accumulation whose
   summation order matches a naive nested-loop evaluation bit for bit,
   and whose per-sample results are independent of the rest of the batch.
@@ -136,11 +139,19 @@ class Tape:
     tensor's gradient is allocated (``zeros_like``, in the data's own
     layout) only when the first record that touches it is replayed. A
     second call raises ``RuntimeError``.
+
+    ``keep_patches`` trades memory for time: a float32 conv2d whose weight
+    requires a gradient keeps its forward's patch matrix until its record
+    replays, rather than rebuilding it there, and writes the input's patch
+    gradient into it. Only the training step's tape keeps. The layer-stats
+    probe runs at 8 times the training batch and sets a run's memory peak,
+    so it, like gradcheck, rebuilds. Either way the bits are the same.
     """
 
-    def __init__(self):
+    def __init__(self, keep_patches: bool = False):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], None]]] = []
         self._replayed = False
+        self.keep_patches = keep_patches
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -392,24 +403,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     same_dtype(x, weight, bias)
 
     xp = _pad1(x.data)
+    kept = None  # the patch matrix, kept for the backward on a keeping tape
     if x.data.dtype == np.float64:
         out_data = _conv_forward_exact(xp, weight.data, bias.data, h, w)
     else:
-        out_data = _im2col(xp, h, w) @ weight.data.reshape(c_out, c_in * 9).T
+        cols = _im2col(xp, h, w)
+        out_data = cols @ weight.data.reshape(c_out, c_in * 9).T
         out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
         out_data += channel_tile(bias.data, out_data)
+        if weight.requires_grad and _tapes and _tapes[-1].keep_patches:
+            kept = cols
     out = Tensor(out_data)
 
     def backward_fn(g: np.ndarray):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * h * w, c_out)
+        cols = None  # a patch-matrix buffer the patch gradient may reuse
         if weight.requires_grad:
-            # The padded input is not kept from the forward but rebuilt from
+            # Unless the tape keeps it, the patch matrix is rebuilt from
             # x.data, which no op writes into, so it has the forward's bytes.
-            weight.grad += (gmat.T @ _im2col(_pad1(x.data), h, w)).reshape(c_out, c_in, 3, 3)
+            cols = _im2col(_pad1(x.data), h, w) if kept is None else kept
+            weight.grad += (gmat.T @ cols).reshape(c_out, c_in, 3, 3)
         if bias.requires_grad:
             bias.grad += channel_sum(g)
         if x.requires_grad:
-            gcols = (gmat @ weight.data.reshape(c_out, c_in * 9)).reshape(n, h, w, c_in, 3, 3)
+            # over the patch matrix when there is one, so no second is made
+            gcols = np.matmul(gmat, weight.data.reshape(c_out, c_in * 9), out=cols)
+            gcols = gcols.reshape(n, h, w, c_in, 3, 3)
             gxp = np.zeros((n, h + 2, w + 2, c_in), dtype=x.dtype)
             for blk in sample_blocks(gcols, _CHUNK_BYTES):
                 for kh in range(3):

@@ -220,7 +220,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
             step += 1
             x = Tensor(images.astype(np.float32, copy=False))
             model.zero_grad()
-            with Tape() as tape:
+            with Tape(keep_patches=True) as tape:
                 logits = model.forward(x, training=True, rng=dropout_rng)
                 loss = softmax_cross_entropy(logits, labels)
                 tape.backward(loss)

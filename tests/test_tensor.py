@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+import actlab.probes as probes
+import actlab.tensor as tensor_module
+import actlab.trainer as trainer
 from actlab.activations import ActivationKind, ZCSwishParams, apply_activation
+from actlab.config import ExperimentConfig
+from actlab.data import Dataset
 from actlab.tensor import (
     _CHUNK_BYTES,
     ShapeError,
@@ -48,6 +53,21 @@ def t64(a, requires_grad=False):
 def bits(a):
     a = np.asarray(a)
     return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def conv2d_on_tape(xd, wd, bd, gd, keep_patches):
+    """conv2d's output and its x, w and b gradients for the loss
+    sum(out * gd), recorded on a tape that keeps patch matrices or not."""
+    x, w, b = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+    with Tape(keep_patches=keep_patches) as tape:
+        out = conv2d(x, w, b)
+        tape.backward(tsum(mul(out, Tensor(gd))))
+    return out.data, x.grad, w.grad, b.grad
+
+
+# both conv2d backward paths: the patch matrix kept from the forward, or
+# rebuilt from the input
+KEEP_PATCHES = (True, False)
 
 
 # every float class the pooling tie rule has to order: signed zeros,
@@ -120,9 +140,10 @@ class TestConv2d:
 @example(n=3, c_in=2, c_out=5, size=2, channels_last=False, dtype=np.float64, seed=4)
 def test_conv2d_bits_match_nchw_im2col_reference(n, c_in, c_out, size, channels_last, dtype, seed):
     # At N >= 2 the channels-last kernel hands BLAS the same operands as the
-    # NCHW one, so every bit and the output's memory layout must agree. The
-    # backward re-pads x.data rather than keeping the forward's padded copy,
-    # so the weight gradient checks that rebuild too.
+    # NCHW one, so every bit and the output's memory layout must agree. On
+    # both tapes: the weight gradient reads the forward's patch matrix on a
+    # keeping one and a matrix rebuilt from x.data on the other, and the
+    # patch gradient is written over whichever it read.
     rng = np.random.default_rng(seed)
     xd = rng.standard_normal((n, c_in, size, size)).astype(dtype)
     if channels_last:
@@ -130,16 +151,12 @@ def test_conv2d_bits_match_nchw_im2col_reference(n, c_in, c_out, size, channels_
     wd = rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype)
     bd = rng.standard_normal(c_out).astype(dtype)
     gd = rng.standard_normal((n, c_out, size, size)).astype(dtype)
-    x, w, b = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
-    with Tape() as tape:
-        out = conv2d(x, w, b)
-        tape.backward(tsum(mul(out, Tensor(gd))))
-    want_out, want_gx, want_gw, want_gb = conv2d_im2col_nchw(xd, wd, bd, gd)
-    assert out.data.strides == want_out.strides
-    np.testing.assert_array_equal(bits(out.data), bits(want_out))
-    np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
-    np.testing.assert_array_equal(bits(w.grad), bits(want_gw))
-    np.testing.assert_array_equal(bits(b.grad), bits(want_gb))
+    want = conv2d_im2col_nchw(xd, wd, bd, gd)
+    for keep in KEEP_PATCHES:
+        got = conv2d_on_tape(xd, wd, bd, gd, keep)
+        assert got[0].strides == want[0].strides
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -155,18 +172,16 @@ def test_conv2d_one_sample_backward_matches_nchw_im2col_reference(size, dtype):
     wd = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
     bd = rng.standard_normal(4).astype(dtype)
     gd = rng.standard_normal((1, 4, size, size)).astype(dtype)
-    x, w, b = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
-    with Tape() as tape:
-        out = conv2d(x, w, b)
-        tape.backward(tsum(mul(out, Tensor(gd))))
     want_out, want_gx, want_gw, want_gb = conv2d_im2col_nchw(xd, wd, bd, gd)
-    np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
-    np.testing.assert_array_equal(bits(b.grad), bits(want_gb))
-    if size == 1:
-        np.testing.assert_array_equal(bits(w.grad), bits(want_gw))
     rtol = 1e-5 if dtype == np.float32 else 1e-13
-    np.testing.assert_allclose(w.grad, want_gw, rtol=rtol, atol=rtol)
-    np.testing.assert_allclose(out.data, want_out, rtol=rtol, atol=rtol)
+    for keep in KEEP_PATCHES:
+        out, gx, gw, gb = conv2d_on_tape(xd, wd, bd, gd, keep)
+        np.testing.assert_array_equal(bits(gx), bits(want_gx))
+        np.testing.assert_array_equal(bits(gb), bits(want_gb))
+        if size == 1:
+            np.testing.assert_array_equal(bits(gw), bits(want_gw))
+        np.testing.assert_allclose(gw, want_gw, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(out, want_out, rtol=rtol, atol=rtol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,15 +233,10 @@ def test_conv2d_bits_match_nchw_im2col_reference_over_several_chunks(n, c_in, si
     wd = rng.standard_normal((5, c_in, 3, 3)).astype(dtype)
     bd = rng.standard_normal(5).astype(dtype)
     gd = rng.standard_normal((n, 5, size, size)).astype(dtype)
-    x, w, b = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
-    with Tape() as tape:
-        out = conv2d(x, w, b)
-        tape.backward(tsum(mul(out, Tensor(gd))))
-    want_out, want_gx, want_gw, want_gb = conv2d_im2col_nchw(xd, wd, bd, gd)
-    np.testing.assert_array_equal(bits(out.data), bits(want_out))
-    np.testing.assert_array_equal(bits(x.grad), bits(want_gx))
-    np.testing.assert_array_equal(bits(w.grad), bits(want_gw))
-    np.testing.assert_array_equal(bits(b.grad), bits(want_gb))
+    want = conv2d_im2col_nchw(xd, wd, bd, gd)
+    for keep in KEEP_PATCHES:
+        for a, b in zip(conv2d_on_tape(xd, wd, bd, gd, keep), want):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
 
 class TestMaxPool2:
@@ -622,6 +632,72 @@ class TestTapeMemory:
             loss = tsum(y)
             tape.backward(loss)
         assert seen == [None]
+
+    def test_a_keeping_tape_holds_each_patch_matrix_until_its_conv_replays(self):
+        # A probe op recorded after the conv replays before it and finds the
+        # forward's patch matrix alive; one recorded before the conv replays
+        # after it and finds the matrix freed.
+        x, (w1, b1, _, _), _ = self.small_net()
+        alive = []
+
+        def probe(a):
+            def backward_fn(g):
+                alive.append(kept() is not None)
+                a.grad += g
+
+            return record_op(Tensor(a.data.copy()), (a,), backward_fn)
+
+        with Tape(keep_patches=True) as tape:
+            h = conv2d(probe(x), w1, b1)
+            patches = closure_value(tape._records[-1][2], "kept")
+            assert patches.shape == (2 * 8 * 8, 3 * 9)
+            kept = weakref.ref(patches)
+            del patches
+            loss = tsum(probe(h))
+            del h
+            tape.backward(loss)
+        assert alive == [True, False]
+        assert x.grad is not None and w1.grad is not None
+
+    @pytest.mark.parametrize(
+        "keep_patches, dtype, weight_grad",
+        [(False, np.float32, True), (True, np.float64, True), (True, np.float32, False)],
+    )
+    def test_other_conv_records_keep_no_patch_matrix(self, keep_patches, dtype, weight_grad):
+        # A default tape, the float64 kernel (which builds no patch matrix)
+        # and a weight that needs no gradient keep nothing.
+        x, (w1, b1, _, _), _ = self.small_net(dtype)
+        w1.requires_grad = weight_grad
+        with Tape(keep_patches=keep_patches) as tape:
+            conv2d(x, w1, b1)
+            assert closure_value(tape._records[-1][2], "kept") is None
+
+    def test_only_the_training_step_tape_keeps_patch_matrices(self, monkeypatch):
+        # The probe runs at 8 times the training batch and sets a run's
+        # memory peak, so it rebuilds, as gradcheck does.
+        made = []
+
+        def spy(caller):
+            class SpyTape(Tape):
+                def __init__(self, **kwargs):
+                    super().__init__(**kwargs)
+                    made.append((caller, self.keep_patches))
+
+            return SpyTape
+
+        monkeypatch.setattr(trainer, "Tape", spy("train"))
+        monkeypatch.setattr(probes, "Tape", spy("layer_stats"))
+        monkeypatch.setattr(tensor_module, "Tape", spy("gradcheck"))
+        rng = np.random.default_rng(9)
+        ds = Dataset(
+            images=rng.standard_normal((16, 3, 32, 32)).astype(np.float32),
+            fine_labels=np.arange(16, dtype=np.int64) % 4,
+        )
+        config = ExperimentConfig(depth=8, width_divisor=8, activation="relu", num_classes=4, epochs=1, batch_size=8)
+        trainer.train(config, ds, ds, seed=0)
+        gradcheck(lambda a: tsum(a), [t64([1.0])])
+        probe, step = ("layer_stats", False), ("train", True)
+        assert made == [probe, step, step, probe, ("gradcheck", False)]
 
     def test_intermediate_tensor_carries_its_gradient(self):
         x, (w1, b1, _, _), _ = self.small_net()

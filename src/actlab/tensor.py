@@ -20,9 +20,10 @@ Two kernel families exist for conv2d and linear, selected by dtype:
   returns a channels-last view of the GEMM result. The 9 copies, and the 9
   adds that scatter the patch gradient back, run over the
   :func:`sample_blocks` of the patch buffer. On a tape made with
-  ``Tape(keep_patches=True)`` (the training step's) the patch matrix is
-  kept for the weight gradient; on any other tape the backward rebuilds
-  it from the input, with the same bytes.
+  ``Tape(keep_patches=True)`` (a training step's, when its batch is under
+  half the probe's) the patch matrix is kept for the weight gradient; on
+  any other tape the backward rebuilds it from the input, with the same
+  bytes.
 * float64 (the verification path): fixed-order accumulation whose
   summation order matches a naive nested-loop evaluation bit for bit,
   and whose per-sample results are independent of the rest of the batch.
@@ -143,9 +144,11 @@ class Tape:
     ``keep_patches`` trades memory for time: a float32 conv2d whose weight
     requires a gradient keeps its forward's patch matrix until its record
     replays, rather than rebuilding it there, and writes the input's patch
-    gradient into it. Only the training step's tape keeps. The layer-stats
-    probe runs at 8 times the training batch and sets a run's memory peak,
-    so it, like gradcheck, rebuilds. Either way the bits are the same.
+    gradient into it. A keeping training step holds at most twice the
+    layer-stats probe's live memory per image, so ``trainer.train`` keeps
+    only in a step whose batch is under half the probe's: the probe, which
+    rebuilds like gradcheck, then still sets the run's memory peak. Either
+    way the bits are the same.
     """
 
     def __init__(self, keep_patches: bool = False):

@@ -195,6 +195,10 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     probe_idx = probe_rng.choice(len(train_ds), size=probe_n, replace=False)
     probe_images = train_ds.images[probe_idx].astype(np.float32, copy=False)
     probe_labels = train_ds.fine_labels[probe_idx]
+    # A step that keeps its conv patch matrices holds at most twice the
+    # probe's live memory per image, so it keeps them only while its batch
+    # is under half the probe's and the probe still sets the memory peak.
+    keep_patches = 2 * config.batch_size < probe_n
 
     opt = AdamW(model.parameters())
     record = RunRecord(
@@ -220,7 +224,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
             step += 1
             x = Tensor(images.astype(np.float32, copy=False))
             model.zero_grad()
-            with Tape(keep_patches=True) as tape:
+            with Tape(keep_patches=keep_patches) as tape:
                 logits = model.forward(x, training=True, rng=dropout_rng)
                 loss = softmax_cross_entropy(logits, labels)
                 tape.backward(loss)

@@ -154,9 +154,9 @@ def test_conv2d_bits_match_nchw_im2col_reference(n, c_in, c_out, size, channels_
     want = conv2d_im2col_nchw(xd, wd, bd, gd)
     for keep in KEEP_PATCHES:
         got = conv2d_on_tape(xd, wd, bd, gd, keep)
-        assert got[0].strides == want[0].strides
+        assert got[0].strides == want[0].strides, f"keep_patches={keep}"
         for a, b in zip(got, want):
-            np.testing.assert_array_equal(bits(a), bits(b))
+            np.testing.assert_array_equal(bits(a), bits(b), err_msg=f"keep_patches={keep}")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -176,12 +176,13 @@ def test_conv2d_one_sample_backward_matches_nchw_im2col_reference(size, dtype):
     rtol = 1e-5 if dtype == np.float32 else 1e-13
     for keep in KEEP_PATCHES:
         out, gx, gw, gb = conv2d_on_tape(xd, wd, bd, gd, keep)
-        np.testing.assert_array_equal(bits(gx), bits(want_gx))
-        np.testing.assert_array_equal(bits(gb), bits(want_gb))
+        tag = f"keep_patches={keep}"
+        np.testing.assert_array_equal(bits(gx), bits(want_gx), err_msg=tag)
+        np.testing.assert_array_equal(bits(gb), bits(want_gb), err_msg=tag)
         if size == 1:
-            np.testing.assert_array_equal(bits(gw), bits(want_gw))
-        np.testing.assert_allclose(gw, want_gw, rtol=rtol, atol=rtol)
-        np.testing.assert_allclose(out, want_out, rtol=rtol, atol=rtol)
+            np.testing.assert_array_equal(bits(gw), bits(want_gw), err_msg=tag)
+        np.testing.assert_allclose(gw, want_gw, rtol=rtol, atol=rtol, err_msg=tag)
+        np.testing.assert_allclose(out, want_out, rtol=rtol, atol=rtol, err_msg=tag)
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,7 +237,7 @@ def test_conv2d_bits_match_nchw_im2col_reference_over_several_chunks(n, c_in, si
     want = conv2d_im2col_nchw(xd, wd, bd, gd)
     for keep in KEEP_PATCHES:
         for a, b in zip(conv2d_on_tape(xd, wd, bd, gd, keep), want):
-            np.testing.assert_array_equal(bits(a), bits(b))
+            np.testing.assert_array_equal(bits(a), bits(b), err_msg=f"keep_patches={keep}")
 
 
 class TestMaxPool2:
@@ -672,9 +673,11 @@ class TestTapeMemory:
             conv2d(x, w1, b1)
             assert closure_value(tape._records[-1][2], "kept") is None
 
-    def test_only_the_training_step_tape_keeps_patch_matrices(self, monkeypatch):
-        # The probe runs at 8 times the training batch and sets a run's
-        # memory peak, so it rebuilds, as gradcheck does.
+    @pytest.mark.parametrize("batch_size, keeps", [(4, True), (8, False)])
+    def test_only_a_step_under_half_the_probe_batch_keeps_patch_matrices(self, monkeypatch, batch_size, keeps):
+        # A keeping step holds at most twice the probe's memory per image,
+        # so a step keeps only while its batch is under half the probe's
+        # (16 images here). The probe and gradcheck always rebuild.
         made = []
 
         def spy(caller):
@@ -693,11 +696,13 @@ class TestTapeMemory:
             images=rng.standard_normal((16, 3, 32, 32)).astype(np.float32),
             fine_labels=np.arange(16, dtype=np.int64) % 4,
         )
-        config = ExperimentConfig(depth=8, width_divisor=8, activation="relu", num_classes=4, epochs=1, batch_size=8)
+        config = ExperimentConfig(
+            depth=8, width_divisor=8, activation="relu", num_classes=4, epochs=1, batch_size=batch_size
+        )
         trainer.train(config, ds, ds, seed=0)
         gradcheck(lambda a: tsum(a), [t64([1.0])])
-        probe, step = ("layer_stats", False), ("train", True)
-        assert made == [probe, step, step, probe, ("gradcheck", False)]
+        probe, step = ("layer_stats", False), ("train", keeps)
+        assert made == [probe] + [step] * (16 // batch_size) + [probe, ("gradcheck", False)]
 
     def test_intermediate_tensor_carries_its_gradient(self):
         x, (w1, b1, _, _), _ = self.small_net()

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the desk preset for each activation and print one comparison table.
 
-Uses real CIFAR-100 binaries if --data-dir (or ACTLAB_DATA_DIR) points at
-them; otherwise generates synthetic stand-in data under the output root.
+Trains on the CIFAR-100 binaries in --data-dir, else in ACTLAB_DATA_DIR; a
+directory named either way must hold them, or the first run fails. With
+neither, it generates synthetic stand-in data under the output root.
 When relu and zcswish both ran, it also prints the directional check
 (zcswish >= relu in best train accuracy), which is informational, not a
 pass/fail gate; with both runs at or below chance it reads "undecided".
@@ -15,13 +16,13 @@ import time
 from pathlib import Path
 
 from actlab.cli import main as actlab_main
-from actlab.data import SPLIT_FILES, write_synthetic_cifar100
+from actlab.data import DATA_DIR_ENV, SPLIT_FILES, default_data_dir, write_synthetic_cifar100
 from actlab.trainer import AGGREGATE_HEADER, format_aggregate_row
 
 
 def main():
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--data-dir", help="CIFAR-100 binary directory (default: synthetic under --out)")
+    p.add_argument("--data-dir", help=f"CIFAR-100 binary directory (default: ${DATA_DIR_ENV}, else synthetic under --out)")
     p.add_argument("--out", default="runs/desk_suite")
     p.add_argument("--epochs", type=int, default=None, help="override the preset's epoch count")
     p.add_argument("--depth", help="override the preset's depth (passed to actlab train)")
@@ -29,10 +30,13 @@ def main():
     args = p.parse_args()
 
     out_root = Path(args.out)
-    data_dir = Path(args.data_dir) if args.data_dir else out_root / "data"
-    if not (data_dir / SPLIT_FILES["train"]).exists():
-        print(f"no dataset at {data_dir}, generating synthetic stand-in data")
-        write_synthetic_cifar100(data_dir, train_per_class=40, test_per_class=20, num_classes=100, seed=0)
+    try:
+        data_dir = default_data_dir(args.data_dir)
+    except ValueError:  # neither --data-dir nor the env var: synthetic data under --out
+        data_dir = out_root / "data"
+        if not (data_dir / SPLIT_FILES["train"]).exists():
+            print(f"no dataset at {data_dir}, generating synthetic stand-in data")
+            write_synthetic_cifar100(data_dir, train_per_class=40, test_per_class=20, num_classes=100, seed=0)
 
     rows = []
     for act in args.activations.split(","):

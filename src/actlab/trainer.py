@@ -5,9 +5,10 @@ constant learning rate ``LR`` from step one, betas ``BETA1``/``BETA2``,
 ``EPS``, and decoupled weight decay ``WEIGHT_DECAY`` on every parameter,
 the zc_swish triples included, with no gradient rescue of any kind.
 Training runs in float32, and layer statistics come from a fixed probe
-batch of ``PROBE_BATCH`` training images. Divergence is data here, so non-finite losses or gradients are flagged
-in the run record and logged, and the run keeps going; only
-infrastructure errors abort.
+batch of ``PROBE_BATCH`` training images. Divergence is data here: a
+step whose loss or gradient norm is non-finite is flagged in the run
+record and logged, and the run keeps going; only infrastructure errors
+abort.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class AdamW:
     Moments update from the gradient as usual; the decay step
     ``p -= LR * WEIGHT_DECAY * p`` is applied separately and never flows
     through the moments. Parameters whose ``grad`` is None (never touched
-    by the backward pass) are skipped entirely, decay included.
+    by the backward pass) are skipped entirely, decay included. It is only
+    the update rule: whether a step diverged is decided by ``train``.
     """
 
     def __init__(self, params: list[Tensor]):
@@ -69,20 +71,16 @@ class AdamW:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> bool:
-        """Apply one update. Returns True if any consumed gradient was
-        non-finite (the update is applied regardless)."""
+    def step(self) -> None:
+        """Apply one update. Non-finite gradients are applied as they are."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1**t
         bc2 = 1.0 - BETA2**t
-        saw_nonfinite = False
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 continue
-            if not np.isfinite(g).all():
-                saw_nonfinite = True
             dt = p.data.dtype.type
             m *= dt(BETA1)
             m += dt(1.0 - BETA1) * g
@@ -92,7 +90,6 @@ class AdamW:
             v_hat = v / dt(bc2)
             p.data -= dt(LR) * m_hat / (np.sqrt(v_hat) + dt(EPS))
             p.data -= dt(LR) * dt(WEIGHT_DECAY) * p.data
-        return saw_nonfinite
 
 
 @dataclass
@@ -195,7 +192,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     probe_idx = probe_rng.choice(len(train_ds), size=probe_n, replace=False)
     probe_images = train_ds.images[probe_idx].astype(np.float32, copy=False)
     probe_labels = train_ds.fine_labels[probe_idx]
-    # A step that keeps its conv patch matrices holds at most twice the
+    # A step that keeps its conv patch matrices holds about twice the
     # probe's live memory per image, so it keeps them only while its batch
     # is under half the probe's and the probe still sets the memory peak.
     keep_patches = 2 * config.batch_size < probe_n
@@ -228,10 +225,12 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
                 logits = model.forward(x, training=True, rng=dropout_rng)
                 loss = softmax_cross_entropy(logits, labels)
                 tape.backward(loss)
+            # float32 gradients square to at most about 1.2e77 in float64,
+            # so the norm is finite exactly when every gradient element is
             norm = grad_norm(model.parameters())
-            nonfinite_grads = opt.step()
+            opt.step()
             loss_val = float(loss.data)
-            flagged = nonfinite_grads or not np.isfinite(loss_val)
+            flagged = not (np.isfinite(norm) and np.isfinite(loss_val))
             record.steps.append(StepRecord(step, loss_val, norm, flagged))
             if flagged and not warned:
                 log.warning("non-finite loss or gradient at step %d (run continues, divergence is data)", step)

@@ -77,11 +77,12 @@ class TestAdamW:
         assert b.data[0] == 1.0  # untouched, no decay either
 
     def test_nonfinite_gradient_flagged_but_step_applied(self):
+        # flagging is train's job (see TestTrain); the update rule applies
+        # a NaN gradient as it is
         p = make_param([1.0])
         opt = AdamW([p])
         p.grad = np.array([np.nan])
-        flagged = opt.step()
-        assert flagged
+        opt.step()
         assert np.isnan(p.data[0])  # no silent repair
 
 
@@ -185,22 +186,35 @@ class TestTrain:
         for t, orig in zip(triple.tensors(), before):
             np.testing.assert_array_equal(t.data, orig)
 
+    @staticmethod
+    def poisoned_run(monkeypatch, value) -> RunRecord:
+        """A run whose every step writes ``value`` over the first conv
+        weight's gradient, after the real backward and before the norm."""
+
+        class PoisonedTape(trainer_module.Tape):
+            def backward(self, loss):
+                weight = next(t for _, inputs, _ in self._records for t in inputs if t.requires_grad)
+                super().backward(loss)
+                weight.grad[...] = value
+
+        monkeypatch.setattr(trainer_module, "Tape", PoisonedTape)
+        ds = tiny_dataset()
+        return train(tiny_config(epochs=1), ds, ds)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN propagates, never repaired
     def test_nan_injection_is_flagged_never_fatal(self, monkeypatch):
-        ds = tiny_dataset()
-        cfg = tiny_config(epochs=1)
-        real_step = AdamW.step
-
-        def poisoned_step(self):
-            for p in self.params:
-                if p.grad is not None:
-                    p.grad[...] = np.nan
-                    break
-            return real_step(self)
-
-        monkeypatch.setattr(AdamW, "step", poisoned_step)
-        rec = train(cfg, ds, ds)
+        rec = self.poisoned_run(monkeypatch, np.nan)
         assert rec.nonfinite_steps == len(rec.steps)
+        assert np.isfinite(rec.steps[0].loss)  # the gradient alone flags step 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # g * g overflows in AdamW's float32 moment
+    @pytest.mark.parametrize("value", [np.inf, 3.4028235e38, -3.4028235e38])
+    def test_gradient_is_flagged_exactly_when_non_finite(self, monkeypatch, value):
+        # the largest float32, squared in float64, is about 1.2e77, so the
+        # norm of finite gradients stays finite
+        rec = self.poisoned_run(monkeypatch, value)
+        assert rec.nonfinite_steps == (0 if np.isfinite(value) else len(rec.steps))
+        assert np.isfinite(rec.steps[0].loss)
 
     def test_csv_serialization_roundtrip(self, tmp_path):
         ds = tiny_dataset()

@@ -2,13 +2,15 @@
 
 Two measurements:
 
-* :func:`layer_stats`: one forward and backward pass on a fixed probe
-  batch that gives, per activation site and for the logits, the
-  post-activation mean/std, the fraction of near-zero ("dead")
-  activations, and the weight-gradient norm of the layer feeding it. The
-  forward pass's probe names that layer: each entry is a (site, array,
-  feeding weight) triple. :func:`grad_norm` is the one float64 reduction
-  behind those norms and the trainer's per-step gradient norm.
+* :func:`layer_stats`: a forward and backward pass over a fixed probe
+  batch, run in chunks of the training batch size, that gives, per
+  activation site and for the logits, the post-activation mean/std, the
+  fraction of near-zero ("dead") activations, and the norm of the
+  gradient of the probe's mean loss for the weight layer feeding it,
+  accumulated over the chunks. The forward pass's probe names that
+  layer: each entry is a (site, array, feeding weight) triple.
+  :func:`grad_norm` is the one float64 reduction behind those norms and
+  the trainer's per-step gradient norm.
 * :func:`drift_experiment`: pushes a sample through a freshly initialized
   stack of width-preserving linear layers and one activation per depth
   position, recording how the activation mean moves with depth. With
@@ -41,7 +43,7 @@ from actlab.activations import (
     zc_swish_eval,
 )
 from actlab.plainnet import PlainNet
-from actlab.tensor import Tape, Tensor, softmax_cross_entropy
+from actlab.tensor import Tape, Tensor, scale, softmax_cross_entropy
 
 __all__ = [
     "DEAD_THRESHOLD",
@@ -76,26 +78,53 @@ def grad_norm(tensors) -> float:
     return float(np.sqrt(total))
 
 
-def layer_stats(model: PlainNet, images: np.ndarray, labels: np.ndarray) -> list[LayerStats]:
+def layer_stats(
+    model: PlainNet, images: np.ndarray, labels: np.ndarray, chunk: int | None = None
+) -> list[LayerStats]:
     """One record per activation site plus the logits head.
 
-    A backward pass on the probe batch fills weight gradients, so each
-    record carries the gradient norm of the weight layer feeding it.
+    The probe batch runs in consecutive chunks of ``chunk`` images (all
+    of them at once when None), each with its own eval-mode forward and
+    backward, so only one chunk's activations and tape are alive at a
+    time. Each chunk's mean loss is scaled by its share of the batch, so
+    the weight gradients, accumulated over the chunks from zero, are the
+    gradient of the probe's mean loss, and each record carries the norm
+    of that gradient for the weight layer feeding it; it depends on the
+    chunk size in its last bits, because it sums per-chunk GEMMs. The
+    sites' outputs are copied into one C-ordered array per site, and the
+    mean, std and dead fraction are taken over those whole arrays. So in
+    float64, whose kernels are batch-independent, they do not depend on
+    the chunk size; in float32 they do only where a GEMM's bits depend
+    on its row count (OpenBLAS's small-matrix sgemm, below about 10^6
+    multiply-adds, sums in another order).
     """
-    x = Tensor(images.astype(model.dtype, copy=False))
-    probe: list = []
+    n = len(images)
+    chunk = n if chunk is None else chunk
+    store: list = []
     model.zero_grad()
-    with Tape() as tape:
-        logits = model.forward(x, training=False, probe=probe)
-        loss = softmax_cross_entropy(logits, labels)
-        tape.backward(loss)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        x = Tensor(images[start:stop].astype(model.dtype, copy=False))
+        probe: list = []
+        with Tape() as tape:
+            logits = model.forward(x, training=False, probe=probe)
+            loss = softmax_cross_entropy(logits, labels[start:stop])
+            tape.backward(scale(loss, (stop - start) / n))
+        if not store:
+            # C order fixes the summation order of the mean and std
+            # whatever the op's output layout (conv outputs are
+            # channels-last)
+            store = [(site, np.empty((n, *act.shape[1:]), act.dtype), weight) for site, act, weight in probe]
+        for (_, full, _), (_, act, _) in zip(store, probe):
+            full[start:stop] = act
+        del x, probe, logits, loss  # before the next chunk, and the last chunk's before the statistics
 
     out = []
-    for site, act, weight in probe:
-        # C order fixes the summation order of the mean and std whatever
-        # the op's output layout (conv outputs are channels-last); the
-        # copy lives for one site only
-        act = np.ascontiguousarray(act)
+    while store:
+        # the last (smallest) site first, each site's array dropped once
+        # its statistics are taken, so np.std's float64 temporary of the
+        # first (largest) site is not alive beside the other sites' arrays
+        site, act, weight = store.pop()
         out.append(
             LayerStats(
                 site=site,
@@ -105,7 +134,7 @@ def layer_stats(model: PlainNet, images: np.ndarray, labels: np.ndarray) -> list
                 grad_norm=grad_norm([weight]),
             )
         )
-    return out
+    return out[::-1]
 
 
 @dataclass

@@ -144,8 +144,9 @@ class Tape:
     requires a gradient keeps its forward's patch matrix until its record
     replays, rather than rebuilding it there, and writes the input's patch
     gradient into it. A keeping training step holds about twice the live
-    memory per image of the layer-stats probe, which rebuilds like
-    gradcheck. Either way the bits are the same.
+    memory of a step on a default tape (1.8 to 2.2 times, traced); the
+    layer-stats probe and gradcheck never keep. Either way the bits are
+    the same.
     """
 
     def __init__(self, keep_patches: bool = False):

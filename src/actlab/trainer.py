@@ -5,10 +5,10 @@ constant learning rate ``LR`` from step one, betas ``BETA1``/``BETA2``,
 ``EPS``, and decoupled weight decay ``WEIGHT_DECAY`` on every parameter,
 the zc_swish triples included, with no gradient rescue of any kind.
 Training runs in float32, and layer statistics come from a fixed probe
-batch of ``PROBE_BATCH`` training images. Divergence is data here: a
-step whose loss or gradient norm is non-finite is flagged in the run
-record and logged, and the run keeps going; only infrastructure errors
-abort.
+batch of ``PROBE_BATCH`` training images, run in chunks of the batch
+size. Divergence is data here: a step whose loss or gradient norm is
+non-finite is flagged in the run record and logged, and the run keeps
+going; only infrastructure errors abort.
 """
 
 from __future__ import annotations
@@ -192,9 +192,12 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     probe_idx = probe_rng.choice(len(train_ds), size=probe_n, replace=False)
     probe_images = train_ds.images[probe_idx].astype(np.float32, copy=False)
     probe_labels = train_ds.fine_labels[probe_idx]
-    # A step that keeps its conv patch matrices holds about twice the
-    # probe's live memory per image, so it keeps them only while its batch
-    # is under half the probe's and the probe still sets the memory peak.
+    # A step that keeps its conv patch matrices holds about twice a
+    # default step's live memory, so it keeps them only while its batch is
+    # under half the probe's. The probe, run in chunks of the batch, still
+    # sets the run's memory peak at small batches such as desk's 32, but a
+    # keeping step passes it from a batch of about 53 to 82 up (README,
+    # "Memory").
     keep_patches = 2 * config.batch_size < probe_n
 
     opt = AdamW(model.parameters())
@@ -210,7 +213,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
         record.epochs.append(EpochRecord(epoch, tr_loss, tr_acc, te_loss, te_acc))
         record.layer_stats_rows.extend(
             (epoch, st.site, st.mean, st.std, st.dead_frac, st.grad_norm)
-            for st in layer_stats(model, probe_images, probe_labels)
+            for st in layer_stats(model, probe_images, probe_labels, chunk=config.batch_size)
         )
 
     snapshot(0)

@@ -80,3 +80,14 @@ def test_src_lines_counts_code_tokens_not_docstrings_or_comments(tmp_path, monke
     runpy.run_path(str(SCRIPTS / "src_lines.py"), run_name="__main__")
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "code", "physical"], ["a.py", "4", "11"], ["b.py", "3", "3"], ["total", "7", "14"]]
+
+
+def test_mem_peaks_prints_probe_and_step_peaks(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mem_peaks.py", "--depth", "8", "--width-divisor", "8", "--batch-size", "4"])
+    runpy.run_path(str(SCRIPTS / "mem_peaks.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "depth 8, width/8, relu, batch 4"
+    rows = [line.rsplit(maxsplit=4) for line in lines[1:4]]
+    assert [r[0] for r in rows] == ["probe (256 images)", "step, default tape", "step, keeping tape"]
+    assert len(lines) == 4
+    assert all(r[2] == "MiB" and r[4] == "s" and float(r[1]) > 0 for r in rows)

@@ -1,5 +1,6 @@
 """Engine-level tests: forward oracles, backward rules, tape semantics."""
 
+import math
 import re
 import tracemalloc
 import weakref
@@ -675,9 +676,10 @@ class TestTapeMemory:
 
     @pytest.mark.parametrize("batch_size, keeps", [(4, True), (8, False)])
     def test_only_a_step_under_half_the_probe_batch_keeps_patch_matrices(self, monkeypatch, batch_size, keeps):
-        # A keeping step holds at most twice the probe's memory per image,
-        # so a step keeps only while its batch is under half the probe's
-        # (16 images here). The probe and gradcheck always rebuild.
+        # A keeping step holds about twice a default step's memory, so a
+        # step keeps only while its batch is under half the probe's (16
+        # images here). The probe runs one default tape per chunk of the
+        # batch size, and gradcheck rebuilds too.
         made = []
 
         def spy(caller):
@@ -701,8 +703,9 @@ class TestTapeMemory:
         )
         trainer.train(config, ds, ds, seed=0)
         gradcheck(lambda a: tsum(a), [t64([1.0])])
-        probe, step = ("layer_stats", False), ("train", keeps)
-        assert made == [probe] + [step] * (16 // batch_size) + [probe, ("gradcheck", False)]
+        probe = [("layer_stats", False)] * math.ceil(16 / batch_size)
+        step = ("train", keeps)
+        assert made == probe + [step] * (16 // batch_size) + probe + [("gradcheck", False)]
 
     def test_intermediate_tensor_carries_its_gradient(self):
         x, (w1, b1, _, _), _ = self.small_net()

@@ -11,10 +11,15 @@ mean/std computed over the train split and cached in a small JSON
 sidecar next to the data files, so the test split is normalized with
 train statistics. The sidecar records train.bin's size and sha256 and
 is recomputed whenever they no longer match or it does not hold three
-finite means and three finite stds above 0. A split is decoded once,
-into the float32 array that is then standardized in place. No
-augmentation of any kind is applied here: the training recipes this lab
-studies are deliberately bare, and augmenting would confound them.
+finite means and three finite stds above 0. A split is held as its
+pixel bytes, a uint8 view of the records as read, and only the images a
+caller draws (a batch, an evaluation slice, the probe batch) are decoded
+and standardized, each step in float32, so an image has the same bits
+whatever batch it is drawn in. The statistics are summed over float64
+chunks decoded straight from the bytes, so no path holds a float array
+of a whole split. No augmentation of any kind is applied here: the
+training recipes this lab studies are deliberately bare, and augmenting
+would confound them.
 
 Every file actlab writes goes through :func:`atomic_write`, so a killed
 process never leaves a half-written file in place of a good one.
@@ -27,7 +32,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,20 +57,33 @@ STATS_FILE = "channel_stats.json"
 DATA_DIR_ENV = "ACTLAB_DATA_DIR"
 PUBLIC_SOURCE = "https://www.cs.toronto.edu/~kriz/cifar.html (CIFAR-100 binary version)"
 _SYNTH_CHUNK = 128  # samples per noise draw in write_synthetic_cifar100
-_STATS_CHUNK = 256  # samples per float64 chunk of the channel std
+_STATS_CHUNK = 256  # samples per float64 chunk of the channel statistics
 _SYNTH_SIGNAL = 0.85  # prototype share of a synthetic pixel; the rest is noise
 
 
 @dataclass
 class Dataset:
-    """In-memory split: standardized float32 images [N,3,32,32] and their
-    int64 fine labels."""
+    """In-memory split: its uint8 pixel bytes [N,3,32,32], their int64
+    fine labels, and the train split's per-channel float32 ``mean`` and
+    ``std`` in x/255 units, with which ``images`` standardizes them."""
 
-    images: np.ndarray
+    pixels: np.ndarray
     fine_labels: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
 
     def __len__(self) -> int:
-        return self.images.shape[0]
+        return self.pixels.shape[0]
+
+    def images(self, index) -> np.ndarray:
+        """The standardized float32 images at ``index`` (a slice or an
+        index array), decoded from their bytes: x/255, minus the mean,
+        over the std, each step in float32."""
+        x = self.pixels[index].astype(np.float32)
+        x /= np.float32(255.0)
+        x -= self.mean.reshape(1, 3, 1, 1)
+        x /= self.std.reshape(1, 3, 1, 1)
+        return x
 
 
 @contextmanager
@@ -112,15 +130,6 @@ def _pixel_view(records: np.ndarray) -> np.ndarray:
     return records[:, 2:].reshape(records.shape[0], 3, 32, 32)
 
 
-def _unit_pixels(records: np.ndarray) -> np.ndarray:
-    """The pixels of (N, RECORD_BYTES) records as float32 x/255 [N,3,32,32],
-    decoded straight from the records into one new array."""
-    x = np.empty((records.shape[0], 3, 32, 32), dtype=np.float32)
-    x[...] = _pixel_view(records)
-    x /= np.float32(255.0)
-    return x
-
-
 def write_cifar_records(path, coarse: np.ndarray, fine: np.ndarray, pixels: np.ndarray):
     """Serialize records back to the canonical binary layout."""
     n = fine.shape[0]
@@ -149,7 +158,7 @@ def _train_identity(path: Path, records: np.ndarray | None) -> dict:
     return {"train_bytes": size, "train_sha256": digest.hexdigest()}
 
 
-def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) -> dict:
+def _channel_stats(data_dir: Path, train_records: np.ndarray | None) -> dict:
     """Per-channel mean/std of the train split in x/255 units.
 
     Cached in a JSON sidecar together with train.bin's size and sha256.
@@ -160,19 +169,17 @@ def _channel_stats(data_dir: Path, train: tuple[np.ndarray, np.ndarray] | None) 
     malformed field, a std of 0 or below) is stale: the statistics are
     recomputed and the sidecar is replaced atomically. A train split with
     a channel whose own std is 0 is refused, naming train.bin and the
-    channel. ``train`` is train.bin's records and their x/255 pixels
-    when the caller has already read and decoded them; without it
-    train.bin is read here.
+    channel. ``train_records`` is train.bin's records when the caller
+    has already read them; without it train.bin is read here.
     """
     train_path = data_dir / SPLIT_FILES["train"]
     sidecar = data_dir / STATS_FILE
-    identity = _train_identity(train_path, None if train is None else train[0])
+    identity = _train_identity(train_path, train_records)
     stats = _cached_stats(sidecar, identity)
     if stats is not None:
         return stats
-    x = _unit_pixels(_read_records(train_path)) if train is None else train[1]
-    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    std = _channel_std(x, mean)
+    records = _read_records(train_path) if train_records is None else train_records
+    mean, std = _pixel_stats(_pixel_view(records))
     for ch, s in enumerate(std):
         if not s > 0:
             raise ValueError(f"{train_path}: channel {ch} has std {s}, so it cannot be standardized")
@@ -208,40 +215,51 @@ def _cached_stats(sidecar: Path, identity: dict) -> dict | None:
     return stats
 
 
-def _channel_std(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``x.std(axis=(0, 2, 3), dtype=np.float64)`` of a C-contiguous
-    [N, C, H, W] array, bit for bit, given its per-channel float64 mean,
-    in float64 chunks of ``_STATS_CHUNK`` samples instead of one copy of
-    all of x. numpy's sum of squared deviations is a pairwise sum over
+def _pixel_stats(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x.mean`` and ``x.std`` with ``axis=(0, 2, 3), dtype=np.float64``
+    of the float32 x/255 decode x of uint8 [N, C, H, W] pixels, bit for
+    bit, from float64 chunks of ``_STATS_CHUNK`` samples decoded straight
+    from the bytes instead of one copy of all of x. numpy's sums (of x,
+    then of the squared deviations from the mean) are a pairwise sum over
     each sample's H*W values per channel, added sample after sample;
     this adds them in that order."""
-    n, c = x.shape[:2]
-    m = mean.reshape(1, c, 1, 1)
-    total = np.zeros(c)
-    for start in range(0, n, _STATS_CHUNK):
-        d = x[start : start + _STATS_CHUNK] - m
-        np.multiply(d, d, out=d)
-        for per_sample in d.reshape(d.shape[0], c, -1).sum(axis=2):
-            total += per_sample
-    return np.sqrt(total / (x.size // c))
+    n, c = pixels.shape[:2]
+    count = pixels.size // c
+    chunk = np.empty((min(n, _STATS_CHUNK), *pixels.shape[1:]))
+
+    def channel_sum(center: np.ndarray | None) -> np.ndarray:
+        total = np.zeros(c)
+        for start in range(0, n, _STATS_CHUNK):
+            part = pixels[start : start + _STATS_CHUNK]
+            d = chunk[: len(part)]
+            np.divide(part, np.float32(255.0), out=d, dtype=np.float32)  # float32 x/255, held in float64
+            if center is not None:
+                d -= center.reshape(1, c, 1, 1)
+                np.multiply(d, d, out=d)
+            for per_sample in d.reshape(d.shape[0], c, -1).sum(axis=2):
+                total += per_sample
+        return total
+
+    mean = channel_sum(None) / count
+    return mean, np.sqrt(channel_sum(mean) / count)
 
 
 def load_cifar100(data_dir, split: str) -> Dataset:
-    """Load one split, pixels mapped to x/255 and then standardized per
-    channel with the train split's statistics.
-
-    The split is decoded once into one float32 array and standardized in
-    place; loading the train split takes any statistics it must
-    recompute from that same x/255 array."""
+    """Load one split: its pixel bytes as read, its labels, and the train
+    split's per-channel statistics, which ``Dataset.images`` standardizes
+    with. Loading the train split takes any statistics it must recompute
+    from the records it has just read."""
     if split not in SPLIT_FILES:
         raise ValueError(f"split must be one of {sorted(SPLIT_FILES)}, got {split!r}")
     data_dir = Path(data_dir)
     records = _read_records(data_dir / SPLIT_FILES[split])
-    images = _unit_pixels(records)
-    stats = _channel_stats(data_dir, (records, images) if split == "train" else None)
-    images -= np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
-    images /= np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-    return Dataset(images=images, fine_labels=records[:, 1].astype(np.int64))
+    stats = _channel_stats(data_dir, records if split == "train" else None)
+    return Dataset(
+        pixels=_pixel_view(records),
+        fine_labels=records[:, 1].astype(np.int64),
+        mean=np.asarray(stats["mean"], dtype=np.float32),
+        std=np.asarray(stats["std"], dtype=np.float32),
+    )
 
 
 def default_data_dir(cli_value=None):
@@ -265,7 +283,7 @@ def subset(ds: Dataset, per_class: int, seed: int) -> Dataset:
             raise ValueError(f"class {int(k)} has only {idx.size} samples, need {per_class}")
         picks.append(rng.permutation(idx)[:per_class])
     sel = np.concatenate(picks)
-    return Dataset(images=ds.images[sel], fine_labels=ds.fine_labels[sel])
+    return replace(ds, pixels=ds.pixels[sel], fine_labels=ds.fine_labels[sel])
 
 
 def batches(ds: Dataset, batch_size: int, seed: int, epoch: int):
@@ -275,13 +293,14 @@ def batches(ds: Dataset, batch_size: int, seed: int, epoch: int):
     order = np.random.default_rng([seed, epoch]).permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         sel = order[start : start + batch_size]
-        yield ds.images[sel], ds.fine_labels[sel]
+        yield ds.images(sel), ds.fine_labels[sel]
 
 
 def eval_batches(ds: Dataset, batch_size: int):
     """Unshuffled chunks for evaluation passes."""
     for start in range(0, len(ds), batch_size):
-        yield ds.images[start : start + batch_size], ds.fine_labels[start : start + batch_size]
+        sel = slice(start, start + batch_size)
+        yield ds.images(sel), ds.fine_labels[sel]
 
 
 def write_synthetic_cifar100(

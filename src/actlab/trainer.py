@@ -13,6 +13,7 @@ going; only infrastructure errors abort.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 from dataclasses import dataclass, field
 
@@ -53,6 +54,22 @@ BETA1, BETA2 = 0.9, 0.999
 EPS = 1e-8
 
 PROBE_BATCH = 256  # training images in the fixed layer-stats probe batch
+
+
+def _keep_freed_heap() -> None:
+    """Pin glibc's mmap and trim thresholds at the ceiling its dynamic
+    rule reaches (32 and 64 MiB), so that the arrays a step frees stay in
+    the heap for the next step. Left dynamic, both follow the largest
+    array the process happened to free before training; when the trim
+    threshold falls under a step's working set, glibc returns the heap to
+    the system after every step and faults it back in during the next.
+    A no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 class AdamW:
@@ -184,21 +201,22 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     ``config.epochs`` passes of AdamW with per-epoch evaluation and
     layer statistics on a fixed probe batch."""
     seed = config.seeds[0] if seed is None else seed
+    _keep_freed_heap()
     model = build(config, np.random.default_rng([seed, RNG_INIT]), dtype=np.float32)
     report = count_params(model)
     dropout_rng = np.random.default_rng([seed, RNG_DROPOUT])
     probe_rng = np.random.default_rng([seed, RNG_PROBE])
     probe_n = min(PROBE_BATCH, len(train_ds))
     probe_idx = probe_rng.choice(len(train_ds), size=probe_n, replace=False)
-    probe_images = train_ds.images[probe_idx].astype(np.float32, copy=False)
+    probe_images = train_ds.images(probe_idx)
     probe_labels = train_ds.fine_labels[probe_idx]
     # A step that keeps its conv patch matrices holds about twice a
-    # default step's live memory, so it keeps them only while its batch is
-    # under half the probe's. The probe, run in chunks of the batch, still
-    # sets the run's memory peak at small batches such as desk's 32, but a
-    # keeping step passes it from a batch of about 53 to 82 up (README,
-    # "Memory").
-    keep_patches = 2 * config.batch_size < probe_n
+    # default step's live memory. The probe, run in chunks of the batch,
+    # holds every site's output for all its images, so it still sets the
+    # run's memory peak while the batch is at most an eighth of the probe's
+    # (desk's 32 keeps); a keeping step passes it from a batch of about 44
+    # up (README, "Memory").
+    keep_patches = 8 * config.batch_size <= probe_n
 
     opt = AdamW(model.parameters())
     record = RunRecord(
@@ -222,7 +240,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     for epoch in range(1, config.epochs + 1):
         for images, labels in batches(train_ds, config.batch_size, seed, epoch):
             step += 1
-            x = Tensor(images.astype(np.float32, copy=False))
+            x = Tensor(images)
             model.zero_grad()
             with Tape(keep_patches=keep_patches) as tape:
                 logits = model.forward(x, training=True, rng=dropout_rng)

@@ -11,8 +11,9 @@ conv2d_im2col_nchw does the same for conv2d's GEMM kernel,
 zc_swish_broadcast for the Tensor path of zc_swish, and
 zc_swish_eval_one_shot for its blockwise array path.
 synthetic_records_one_shot and standardized_split_reference are the
-one-shot synthetic writer and the loader formula that the chunked writer
-and the decode-once loader must match byte for byte.
+one-shot synthetic writer and the whole-split loader formula that the
+chunked writer, the chunked statistics and the images a loaded split
+decodes as they are drawn must match byte for byte.
 """
 
 import hashlib

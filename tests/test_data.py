@@ -1,6 +1,7 @@
 """Loader byte-exactness, standardization, subsetting, batch order."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from actlab.data import (
     Dataset,
     atomic_write,
     batches,
+    eval_batches,
     load_cifar100,
     subset,
     write_cifar_records,
@@ -42,6 +44,11 @@ def read_records(path):
     from the 3074-byte record layout: coarse byte, fine byte, 3072 pixels."""
     records = np.fromfile(path, dtype=np.uint8).reshape(-1, RECORD_BYTES)
     return records[:, 0], records[:, 1], records[:, 2:].reshape(-1, 3, 32, 32)
+
+
+def whole(ds):
+    """Every image of ``ds``, decoded in one draw."""
+    return ds.images(slice(None))
 
 
 def unit_pixels(data_dir, split):
@@ -104,7 +111,8 @@ class TestLoader:
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
         ds = load_cifar100(d, "train")
-        assert len(ds) == 2 and ds.images.dtype == np.float32
+        assert len(ds) == 2 and ds.pixels.dtype == np.uint8 and whole(ds).dtype == np.float32
+        np.testing.assert_array_equal(ds.pixels, pixels)
         np.testing.assert_array_equal(ds.fine_labels, fine)
         assert ds.fine_labels.dtype == np.int64
         x, _ = unit_pixels(d, "train")
@@ -159,8 +167,8 @@ class TestStandardization:
     def test_train_split_standardizes_to_unit_stats(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 8, 2, num_classes=20, seed=3)
         ds = load_cifar100(tmp_path, "train")
-        mean = ds.images.mean(axis=(0, 2, 3), dtype=np.float64)
-        std = ds.images.std(axis=(0, 2, 3), dtype=np.float64)
+        mean = whole(ds).mean(axis=(0, 2, 3), dtype=np.float64)
+        std = whole(ds).std(axis=(0, 2, 3), dtype=np.float64)
         np.testing.assert_allclose(mean, 0.0, atol=1e-3)
         np.testing.assert_allclose(std, 1.0, atol=1e-3)
 
@@ -179,7 +187,7 @@ class TestStandardization:
         assert json.loads(sidecar.read_text())["mean"] == [0.5, 0.5, 0.5]
         x, _ = unit_pixels(tmp_path, "train")
         std = np.asarray(stats1["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-        assert ds.images.tobytes() == ((x - np.float32(0.5)) / std).tobytes()
+        assert whole(ds).tobytes() == ((x - np.float32(0.5)) / std).tobytes()
 
     @pytest.mark.parametrize("damage", DAMAGED_SIDECARS.values(), ids=DAMAGED_SIDECARS.keys())
     def test_damaged_sidecar_is_recomputed_and_replaced(self, tmp_path, damage):
@@ -192,7 +200,7 @@ class TestStandardization:
         sidecar.write_bytes(damage(good))
         for split in ("test", "train"):
             got = load_cifar100(damaged, split)
-            assert got.images.tobytes() == load_cifar100(fresh, split).images.tobytes()
+            assert whole(got).tobytes() == whole(load_cifar100(fresh, split)).tobytes()
             assert sidecar.read_text() == good
 
     def test_train_split_checks_sidecar_without_reopening_train_bin(self, tmp_path, monkeypatch):
@@ -227,7 +235,7 @@ class TestStandardization:
         stats = json.loads((tmp_path / "channel_stats.json").read_text())
         assert stats["mean"] == [float(m) for m in x.mean(axis=(0, 2, 3), dtype=np.float64)]
         assert stats["train_bytes"] == (tmp_path / "train.bin").stat().st_size
-        np.testing.assert_allclose(ds.images.mean(axis=(0, 2, 3), dtype=np.float64), 0.0, atol=1e-3)
+        np.testing.assert_allclose(whole(ds).mean(axis=(0, 2, 3), dtype=np.float64), 0.0, atol=1e-3)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["channel_stats.json", "train.bin"]
 
     def test_constant_channel_train_split_refused_naming_file_and_channel(self, tmp_path):
@@ -248,16 +256,21 @@ class TestStandardization:
         test_raw, _ = unit_pixels(tmp_path, "test")
         mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
         std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-        np.testing.assert_allclose(test_norm.images, (test_raw - mean) / std, rtol=1e-6)
+        np.testing.assert_allclose(whole(test_norm), (test_raw - mean) / std, rtol=1e-6)
+
+
+def pixel_dataset(pixels, labels):
+    """A Dataset of uint8 ``pixels`` whose images are plain x/255."""
+    return Dataset(pixels=pixels, fine_labels=labels, mean=np.zeros(3, np.float32), std=np.ones(3, np.float32))
 
 
 class TestSubset:
     def make_ds(self, per_class=10, classes=6, seed=0):
         rng = np.random.default_rng(seed)
         n = per_class * classes
-        return Dataset(
-            images=rng.standard_normal((n, 3, 32, 32)).astype(np.float32),
-            fine_labels=np.repeat(np.arange(classes), per_class).astype(np.int64),
+        return pixel_dataset(
+            rng.integers(0, 256, (n, 3, 32, 32), dtype=np.uint8),
+            np.repeat(np.arange(classes), per_class).astype(np.int64),
         )
 
     def test_balanced_counts(self):
@@ -270,17 +283,17 @@ class TestSubset:
     def test_full_class_size_is_permutation(self):
         ds = self.make_ds(per_class=5, classes=3)
         sub = subset(ds, per_class=5, seed=1)
-        assert sorted(map(tuple, sub.images.reshape(len(sub), -1)[:, :2])) == sorted(
-            map(tuple, ds.images.reshape(len(ds), -1)[:, :2])
+        assert sorted(map(tuple, sub.pixels.reshape(len(sub), -1)[:, :2])) == sorted(
+            map(tuple, ds.pixels.reshape(len(ds), -1)[:, :2])
         )
 
     def test_same_seed_same_indices(self):
         ds = self.make_ds()
         a = subset(ds, per_class=3, seed=42)
         b = subset(ds, per_class=3, seed=42)
-        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.pixels, b.pixels)
         c = subset(ds, per_class=3, seed=43)
-        assert not np.array_equal(a.images, c.images)
+        assert not np.array_equal(a.pixels, c.pixels)
 
     def test_insufficient_class_names_the_class(self):
         ds = self.make_ds(per_class=3, classes=4)
@@ -290,15 +303,21 @@ class TestSubset:
 
 class TestBatches:
     def make_ds(self, n):
-        return Dataset(
-            images=np.arange(n, dtype=np.float32).reshape(n, 1, 1, 1) * np.ones((n, 3, 32, 32), dtype=np.float32),
-            fine_labels=np.arange(n, dtype=np.int64),
-        )
+        """Sample i's label is i, and its first two pixel bytes are i's
+        low and high byte."""
+        index = np.arange(n)
+        pixels = np.zeros((n, 3, 32, 32), dtype=np.uint8)
+        pixels[:, 0, 0, 0] = index % 256
+        pixels[:, 0, 0, 1] = index // 256
+        return pixel_dataset(pixels, index.astype(np.int64))
 
     def test_batch_sizes_with_short_tail(self):
         ds = self.make_ds(300)
-        sizes = [len(lab) for _, lab in batches(ds, batch_size=128, seed=0, epoch=0)]
-        assert sizes == [128, 128, 44]
+        drawn = list(batches(ds, batch_size=128, seed=0, epoch=0))
+        assert [len(lab) for _, lab in drawn] == [128, 128, 44]
+        for images, labels in drawn:  # each image is the one its label names
+            low, high = np.rint(images[:, 0, 0, :2] * 255).astype(np.int64).T
+            np.testing.assert_array_equal(low + 256 * high, labels)
 
     def test_epochs_shuffle_differently_but_reproducibly(self):
         ds = self.make_ds(64)
@@ -359,11 +378,71 @@ class TestSynthetic:
 
 @pytest.mark.parametrize("n", [1, data._STATS_CHUNK - 1, data._STATS_CHUNK, data._STATS_CHUNK + 1, 600])
 def test_chunked_channel_std_has_numpys_bits(n):
-    rng = np.random.default_rng(n)
-    x = rng.integers(0, 256, (n, 3, 32, 32)).astype(np.float32) / np.float32(255.0)
-    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    want = x.std(axis=(0, 2, 3), dtype=np.float64)
-    assert data._channel_std(x, mean).tobytes() == want.tobytes()
+    pixels = np.random.default_rng(n).integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
+    x = pixels.astype(np.float32) / np.float32(255.0)
+    mean, std = data._pixel_stats(pixels)
+    assert mean.tobytes() == x.mean(axis=(0, 2, 3), dtype=np.float64).tobytes()
+    assert std.tobytes() == x.std(axis=(0, 2, 3), dtype=np.float64).tobytes()
+
+
+def write_random_split(path, n, seed):
+    """``n`` records of uniform random pixels and labels; the file's bytes."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 100, n, dtype=np.uint8)
+    write_cifar_records(path, labels // 5, labels, rng.integers(0, 256, (n, 3, 32, 32), dtype=np.uint8))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, data._STATS_CHUNK - 1, data._STATS_CHUNK + 1, 2 * data._STATS_CHUNK + 1])
+def test_sidecar_holds_the_one_shot_statistics_of_the_decoded_split(tmp_path, n):
+    # the sidecar's text is the one-shot x.mean and x.std of the whole
+    # x/255 split, both when it replaces a stale sidecar (written for
+    # another train.bin of the same size) and when none exists
+    train = tmp_path / "train.bin"
+    write_random_split(train, n, seed=n + 1)
+    load_cifar100(tmp_path, "train")
+    raw = write_random_split(train, n, seed=n)
+    want = standardized_split_reference(raw, raw)[0]
+    load_cifar100(tmp_path, "train")
+    assert (tmp_path / "channel_stats.json").read_text() == want
+    (tmp_path / "channel_stats.json").unlink()
+    load_cifar100(tmp_path, "train")
+    assert (tmp_path / "channel_stats.json").read_text() == want
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_drawn_images_have_the_whole_split_standardizations_bits(tmp_path, split):
+    # 70 train and 30 test images: batches of 32 end on a short tail
+    write_synthetic_cifar100(tmp_path, 7, 3, num_classes=10, seed=5)
+    raw = {name: (tmp_path / f"{name}.bin").read_bytes() for name in ("train", "test")}
+    _, want, labels = standardized_split_reference(raw["train"], raw[split])
+    ds = load_cifar100(tmp_path, split)
+    n = len(ds)
+    assert ds.images(slice(3, 40)).tobytes() == want[3:40].tobytes()
+    shuffled = np.random.default_rng(1).permutation(n)
+    assert ds.images(shuffled).tobytes() == want[shuffled].tobytes()
+    drawn = list(batches(ds, batch_size=32, seed=2, epoch=1))
+    assert len(drawn[-1][1]) == n % 32
+    order = np.random.default_rng([2, 1]).permutation(n)
+    assert np.concatenate([x for x, _ in drawn]).tobytes() == want[order].tobytes()
+    assert np.concatenate([lab for _, lab in drawn]).tobytes() == labels[order].tobytes()
+    assert np.concatenate([x for x, _ in eval_batches(ds, 32)]).tobytes() == want.tobytes()
+
+
+def test_loading_holds_the_records_and_one_statistics_chunk_at_most(tmp_path):
+    # no float copy of the split: the peak is the records as read plus
+    # one float64 chunk of the statistics (here recomputed, as no sidecar
+    # exists yet) and numpy's casting buffers, under 128 KiB
+    n = 4000
+    write_random_split(tmp_path / "train.bin", n, seed=0)
+    tracemalloc.start()
+    try:
+        ds = load_cifar100(tmp_path, "train")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "channel_stats.json").exists() and len(ds) == n
+    assert peak < n * RECORD_BYTES + data._STATS_CHUNK * 3 * 32 * 32 * 8 + 2**17
 
 
 CHUNK = data._SYNTH_CHUNK
@@ -394,6 +473,7 @@ def test_chunked_writer_and_loader_match_one_shot_references(
         stats_text, images, labels = standardized_split_reference(files[0], raw)
         assert (tmp_path / "channel_stats.json").read_text() == stats_text
         ds = loaded[split]
-        assert ds.images.dtype == np.float32 and ds.images.flags.c_contiguous
-        assert ds.images.shape == images.shape and ds.images.tobytes() == images.tobytes()
+        got = whole(ds)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == images.shape and got.tobytes() == images.tobytes()
         assert ds.fine_labels.dtype == np.int64 and np.array_equal(ds.fine_labels, labels)

@@ -86,15 +86,26 @@ class TestAdamW:
         assert np.isnan(p.data[0])  # no silent repair
 
 
+def pixel_dataset(pixels, labels):
+    """A Dataset of uint8 ``pixels``, standardized as if every channel of
+    the train split had mean 0.5 and std 0.25 in x/255 units (images in
+    [-2, 2])."""
+    return Dataset(pixels=pixels, fine_labels=labels, mean=np.full(3, 0.5, np.float32), std=np.full(3, 0.25, np.float32))
+
+
+def random_pixels(rng, n):
+    return rng.integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
+
+
 def tiny_dataset(n_per_class=6, classes=4, seed=0, size_from_labels=True):
     rng = np.random.default_rng(seed)
     n = n_per_class * classes
     labels = np.repeat(np.arange(classes), n_per_class).astype(np.int64)
-    images = rng.standard_normal((n, 3, 32, 32)).astype(np.float32)
+    pixels = random_pixels(rng, n)
     # plant a strong class signature so the net has something to learn
     for k in range(classes):
-        images[labels == k, k % 3, :8, :8] += 3.0
-    return Dataset(images=images, fine_labels=labels)
+        pixels[labels == k, k % 3, :8, :8] = 255
+    return pixel_dataset(pixels, labels)
 
 
 def tiny_config(**kw):
@@ -115,10 +126,7 @@ class TestEvaluate:
     def test_random_model_on_100_classes_sits_at_chance(self):
         rng = np.random.default_rng(0)
         model = build(ExperimentConfig(depth=8, width_divisor=8), np.random.default_rng(1))
-        ds = Dataset(
-            images=rng.standard_normal((400, 3, 32, 32)).astype(np.float32),
-            fine_labels=rng.integers(0, 100, 400).astype(np.int64),
-        )
+        ds = pixel_dataset(random_pixels(rng, 400), rng.integers(0, 100, 400).astype(np.int64))
         loss, acc = evaluate(model, ds)
         assert abs(acc - 0.01) < 0.03
         assert abs(loss - np.log(100.0)) < 0.2
@@ -131,7 +139,7 @@ class TestEvaluate:
             p.data[:] = 0.0
         fc2 = [l for l in model.layers if l.name == "fc2"][0]
         fc2.bias.data[:] = [1e4, 0.0, 0.0, 0.0]
-        _, acc = evaluate(model, Dataset(images=ds.images, fine_labels=np.zeros(len(ds), dtype=np.int64)))
+        _, acc = evaluate(model, pixel_dataset(ds.pixels, np.zeros(len(ds), dtype=np.int64)))
         assert acc == 1.0
 
     def test_hand_built_fixture_accuracy_two_thirds(self):
@@ -141,10 +149,7 @@ class TestEvaluate:
         fc2 = [l for l in model.layers if l.name == "fc2"][0]
         fc2.bias.data[:] = [1.0, 0.0, 0.0]  # argmax always class 0
         rng = np.random.default_rng(5)
-        ds = Dataset(
-            images=rng.standard_normal((3, 3, 32, 32)).astype(np.float32),
-            fine_labels=np.array([0, 0, 2], dtype=np.int64),
-        )
+        ds = pixel_dataset(random_pixels(rng, 3), np.array([0, 0, 2], dtype=np.int64))
         _, acc = evaluate(model, ds)
         assert acc == pytest.approx(2.0 / 3.0)
 
@@ -153,7 +158,7 @@ class TestEvaluate:
         for p in model.parameters():
             p.data[:] = 0.0  # all logits identical
         ds = tiny_dataset(classes=3)
-        _, acc = evaluate(model, Dataset(images=ds.images[:9], fine_labels=np.zeros(9, dtype=np.int64)))
+        _, acc = evaluate(model, pixel_dataset(ds.pixels[:9], np.zeros(9, dtype=np.int64)))
         assert acc == 1.0
 
 

@@ -7,14 +7,13 @@ The full distribution ships ``train.bin`` (50,000 records) and
 ``test.bin`` (10,000 records).
 
 Pixels map byte -> float via x/255. Standardization uses per-channel
-mean/std computed over the train split and cached in a small JSON
-sidecar next to the data files, so the test split is normalized with
-train statistics. The sidecar records train.bin's size and sha256 and
-is recomputed whenever they no longer match or it does not hold three
-finite means and three finite stds above 0. A split is held as its
-pixel bytes, a uint8 view of the records as read, and only the images a
-caller draws (a batch, an evaluation slice, the probe batch) are decoded
-and standardized, each step in float32, so an image has the same bits
+mean/std computed over the train split, so the test split is normalized
+with train statistics. A process computes them once for each content
+of train.bin, kept under the sha256 of its bytes, and writes nothing
+into the data directory. A split is held as its pixel bytes, a uint8
+view of the records as read, and only the images a caller draws (a
+batch, an evaluation slice, the probe batch) are decoded and
+standardized, each step in float32, so an image has the same bits
 whatever batch it is drawn in. The statistics are summed over float64
 chunks decoded straight from the bytes, so no path holds a float array
 of a whole split. No augmentation of any kind is applied here: the
@@ -28,8 +27,6 @@ process never leaves a half-written file in place of a good one.
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -40,7 +37,6 @@ import numpy as np
 __all__ = [
     "RECORD_BYTES",
     "SPLIT_FILES",
-    "STATS_FILE",
     "DATA_DIR_ENV",
     "Dataset",
     "atomic_write",
@@ -53,12 +49,12 @@ __all__ = [
 
 RECORD_BYTES = 3074  # 1 coarse + 1 fine + 3*32*32 pixels
 SPLIT_FILES = {"train": "train.bin", "test": "test.bin"}
-STATS_FILE = "channel_stats.json"
 DATA_DIR_ENV = "ACTLAB_DATA_DIR"
 PUBLIC_SOURCE = "https://www.cs.toronto.edu/~kriz/cifar.html (CIFAR-100 binary version)"
 _SYNTH_CHUNK = 128  # samples per noise draw in write_synthetic_cifar100
 _STATS_CHUNK = 256  # samples per float64 chunk of the channel statistics
 _SYNTH_SIGNAL = 0.85  # prototype share of a synthetic pixel; the rest is noise
+_TRAIN_STATS: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # train records' sha256 -> (mean, std)
 
 
 @dataclass
@@ -143,76 +139,30 @@ def write_cifar_records(path, coarse: np.ndarray, fine: np.ndarray, pixels: np.n
         records.tofile(f)
 
 
-def _train_identity(path: Path, records: np.ndarray | None) -> dict:
-    """train.bin's size and sha256, hashed from ``records`` (its bytes as
-    already read) when given, else streamed from the file."""
-    digest = hashlib.sha256()
-    if records is not None:
-        digest.update(records)
-        size = records.nbytes
-    else:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                digest.update(chunk)
-        size = path.stat().st_size
-    return {"train_bytes": size, "train_sha256": digest.hexdigest()}
+def _channel_stats(data_dir: Path, train_records: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The train split's per-channel float32 mean and std in x/255 units.
 
-
-def _channel_stats(data_dir: Path, train_records: np.ndarray | None) -> dict:
-    """Per-channel mean/std of the train split in x/255 units.
-
-    Cached in a JSON sidecar together with train.bin's size and sha256.
-    The sidecar is reused only while it is a JSON object whose size and
-    sha256 match train.bin and whose ``mean`` and ``std`` each hold three
-    finite floats, every std above 0, as this function writes them.
-    Anything else (unreadable JSON, another identity, a missing or
-    malformed field, a std of 0 or below) is stale: the statistics are
-    recomputed and the sidecar is replaced atomically. A train split with
-    a channel whose own std is 0 is refused, naming train.bin and the
-    channel. ``train_records`` is train.bin's records when the caller
-    has already read them; without it train.bin is read here.
+    ``train_records`` is train.bin's records when the caller has already
+    read them; without it train.bin is read here. The statistics are
+    computed once per process for each content of train.bin: they are
+    kept under the sha256 of its records, so replaced bytes get fresh
+    statistics. Every split loaded from the same bytes shares the two
+    arrays, so they are read-only. A train split with a channel whose
+    std is 0 is refused, naming train.bin and the channel.
     """
     train_path = data_dir / SPLIT_FILES["train"]
-    sidecar = data_dir / STATS_FILE
-    identity = _train_identity(train_path, train_records)
-    stats = _cached_stats(sidecar, identity)
-    if stats is not None:
-        return stats
     records = _read_records(train_path) if train_records is None else train_records
-    mean, std = _pixel_stats(_pixel_view(records))
-    for ch, s in enumerate(std):
-        if not s > 0:
-            raise ValueError(f"{train_path}: channel {ch} has std {s}, so it cannot be standardized")
-    stats = {
-        "mean": [float(m) for m in mean],
-        "std": [float(s) for s in std],
-        "source_split": "train",
-        "scale": "x/255",
-        **identity,
-    }
-    with atomic_write(sidecar) as f:
-        f.write(json.dumps(stats, indent=2, sort_keys=True))
-    return stats
-
-
-def _cached_stats(sidecar: Path, identity: dict) -> dict | None:
-    """The sidecar's statistics if they can be trusted (see
-    ``_channel_stats``), else None."""
-    try:
-        stats = json.loads(sidecar.read_text())
-    except (FileNotFoundError, ValueError):  # no sidecar, or not UTF-8 JSON
-        return None
-    if not isinstance(stats, dict) or any(stats.get(k) != v for k, v in identity.items()):
-        return None
-    for key in ("mean", "std"):
-        values = stats.get(key)
-        if not (isinstance(values, list) and len(values) == 3):
-            return None
-        if not all(type(v) is float and math.isfinite(v) for v in values):
-            return None
-    if not all(s > 0 for s in stats["std"]):
-        return None
-    return stats
+    key = hashlib.sha256(records).hexdigest()
+    if key not in _TRAIN_STATS:
+        mean, std = _pixel_stats(_pixel_view(records))
+        for ch, s in enumerate(std):
+            if not s > 0:
+                raise ValueError(f"{train_path}: channel {ch} has std {s}, so it cannot be standardized")
+        stats = mean.astype(np.float32), std.astype(np.float32)
+        for a in stats:
+            a.flags.writeable = False
+        _TRAIN_STATS[key] = stats
+    return _TRAIN_STATS[key]
 
 
 def _pixel_stats(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,19 +197,14 @@ def _pixel_stats(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def load_cifar100(data_dir, split: str) -> Dataset:
     """Load one split: its pixel bytes as read, its labels, and the train
     split's per-channel statistics, which ``Dataset.images`` standardizes
-    with. Loading the train split takes any statistics it must recompute
-    from the records it has just read."""
+    with. Loading the train split computes them from the records it has
+    just read; the test split reads train.bin for them."""
     if split not in SPLIT_FILES:
         raise ValueError(f"split must be one of {sorted(SPLIT_FILES)}, got {split!r}")
     data_dir = Path(data_dir)
     records = _read_records(data_dir / SPLIT_FILES[split])
-    stats = _channel_stats(data_dir, records if split == "train" else None)
-    return Dataset(
-        pixels=_pixel_view(records),
-        fine_labels=records[:, 1].astype(np.int64),
-        mean=np.asarray(stats["mean"], dtype=np.float32),
-        std=np.asarray(stats["std"], dtype=np.float32),
-    )
+    mean, std = _channel_stats(data_dir, records if split == "train" else None)
+    return Dataset(pixels=_pixel_view(records), fine_labels=records[:, 1].astype(np.int64), mean=mean, std=std)
 
 
 def default_data_dir(cli_value=None):

@@ -16,9 +16,6 @@ chunked writer, the chunked statistics and the images a loaded split
 decodes as they are drawn must match byte for byte.
 """
 
-import hashlib
-import json
-
 import numpy as np
 
 
@@ -247,11 +244,11 @@ def synthetic_records_one_shot(train_per_class, test_per_class, num_classes, see
 
 
 def standardized_split_reference(train_bytes, split_bytes):
-    """What loading a split from these file bytes must give: the
-    ``channel_stats.json`` text, the standardized float32 images and the
-    int64 labels, by the formula of the first loader (copy the pixels,
-    x/255 in a new array, statistics from it, a new array for each of
-    the two standardizing steps)."""
+    """What loading a split from these file bytes must give: the train
+    split's float32 per-channel ``(mean, std)``, the standardized float32
+    images and the int64 labels, by the formula of the first loader (copy
+    the pixels, x/255 in a new array, statistics from it, a new array for
+    each of the two standardizing steps)."""
 
     def unit_pixels(raw):
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3074)
@@ -259,17 +256,8 @@ def standardized_split_reference(train_bytes, split_bytes):
         return pixels.astype(np.float32) / np.float32(255.0), records[:, 1].copy()
 
     x, _ = unit_pixels(train_bytes)
-    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    std = x.std(axis=(0, 2, 3), dtype=np.float64)
-    stats = {
-        "mean": [float(m) for m in mean],
-        "std": [float(v) for v in std],
-        "source_split": "train",
-        "scale": "x/255",
-        "train_bytes": len(train_bytes),
-        "train_sha256": hashlib.sha256(train_bytes).hexdigest(),
-    }
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+    std = x.std(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
     images, fine = unit_pixels(split_bytes)
-    m32 = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
-    s32 = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-    return json.dumps(stats, indent=2, sort_keys=True), (images - m32) / s32, fine.astype(np.int64)
+    standardized = (images - mean.reshape(1, 3, 1, 1)) / std.reshape(1, 3, 1, 1)
+    return (mean, std), standardized, fine.astype(np.int64)

@@ -1,6 +1,5 @@
 """Loader byte-exactness, standardization, subsetting, batch order."""
 
-import json
 import tracemalloc
 from pathlib import Path
 
@@ -57,50 +56,11 @@ def unit_pixels(data_dir, split):
     return pixels.astype(np.float32) / np.float32(255.0), fine
 
 
-def _edited(**fields):
-    """A sidecar damage: the good sidecar with each given field set to its
-    value, or dropped where the value is None."""
-
-    def damage(good):
-        stats = json.loads(good)
-        for key, value in fields.items():
-            if value is None:
-                del stats[key]
-            else:
-                stats[key] = value
-        return json.dumps(stats).encode()
-
-    return damage
-
-
-def _first_std(value):
-    """A sidecar damage: the good sidecar with ``std[0]`` set to ``value``."""
-
-    def damage(good):
-        stats = json.loads(good)
-        stats["std"][0] = value
-        return json.dumps(stats).encode()
-
-    return damage
-
-
-# each maps the good sidecar's text to the damaged sidecar's bytes
-DAMAGED_SIDECARS = {
-    "list": lambda good: b"[1, 2]",
-    "truncated": lambda good: good[:-20].encode(),
-    "not-utf8": lambda good: b"\xff\xfe",
-    "other-identity": _edited(train_sha256="0"),
-    "no-mean": _edited(mean=None),
-    "one-value-mean": _edited(mean=[0.1]),
-    "string-std": _edited(std="abc"),
-    "string-values-std": _edited(std=["a", "b", "c"]),
-    "object-std": _edited(std={}),
-    "nan-std": _edited(std=[1.0, float("nan"), 1.0]),
-    "inf-mean": _edited(mean=[0.1, 0.2, float("inf")]),
-    "bool-mean": _edited(mean=[True, 0.2, 0.3]),
-    "zero-std": _first_std(0.0),
-    "negative-std": _first_std(-1.0),
-}
+@pytest.fixture(autouse=True)
+def no_kept_statistics(monkeypatch):
+    """Each test starts with no train statistics kept in the process, so
+    the first load of a train.bin's content computes them."""
+    monkeypatch.setattr(data, "_TRAIN_STATS", {})
 
 
 class TestLoader:
@@ -121,8 +81,12 @@ class TestLoader:
         assert x[1, 2, 31, 31] == np.float32(1.0 / 255.0)
 
     def test_missing_file_names_path_and_source(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="cs.toronto.edu"):
+        message = r"train\.bin not found; obtain the dataset from .*cs\.toronto\.edu"
+        with pytest.raises(FileNotFoundError, match=message):
             load_cifar100(tmp_path, "train")
+        write_random_split(tmp_path / "test.bin", 2, seed=0)
+        with pytest.raises(FileNotFoundError, match=message):  # the test split reads train.bin for its statistics
+            load_cifar100(tmp_path, "test")
 
     def test_wrong_length_reports_byte_counts(self, tmp_path):
         (tmp_path / "train.bin").write_bytes(b"\x00" * (RECORD_BYTES + 5))
@@ -133,11 +97,23 @@ class TestLoader:
         (tmp_path / "train.bin").write_bytes(b"")
         with pytest.raises(ValueError, match="train.bin holds no records"):
             load_cifar100(tmp_path, "train")
-        assert not (tmp_path / "channel_stats.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["train.bin"]
 
     def test_unknown_split_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="split"):
             load_cifar100(tmp_path, "validation")
+
+    def test_loading_writes_nothing_into_the_data_directory(self, tmp_path, monkeypatch):
+        write_synthetic_cifar100(tmp_path, 2, 1, num_classes=5, seed=1)
+        listing = sorted(p.name for p in tmp_path.iterdir())
+
+        def read_only(path, mode="w"):
+            raise PermissionError(f"[Errno 30] Read-only file system: '{path}'")
+
+        monkeypatch.setattr(data, "atomic_write", read_only)
+        for split in ("test", "train"):
+            load_cifar100(tmp_path, split)
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
     def test_roundtrip_is_byte_identical(self, fixture_dir, tmp_path):
         d, *_ = fixture_dir
@@ -172,51 +148,25 @@ class TestStandardization:
         np.testing.assert_allclose(mean, 0.0, atol=1e-3)
         np.testing.assert_allclose(std, 1.0, atol=1e-3)
 
-    def test_sidecar_written_once_and_reused(self, tmp_path):
+    def test_train_split_reads_train_bin_once(self, tmp_path, monkeypatch):
         write_synthetic_cifar100(tmp_path, 2, 1, num_classes=5, seed=1)
+        read, computed = [], []
+        read_records, pixel_stats = data._read_records, data._pixel_stats
+
+        def recording_read(path):
+            read.append(Path(path).name)
+            return read_records(path)
+
+        def recording_stats(pixels):
+            computed.append(len(pixels))
+            return pixel_stats(pixels)
+
+        monkeypatch.setattr(data, "_read_records", recording_read)
+        monkeypatch.setattr(data, "_pixel_stats", recording_stats)
         load_cifar100(tmp_path, "train")
-        sidecar = tmp_path / "channel_stats.json"
-        assert sidecar.exists()
-        stats1 = json.loads(sidecar.read_text())
-        assert len(stats1["mean"]) == 3 and len(stats1["std"]) == 3
-        # a second load must read the sidecar, not recompute
-        mutated = dict(stats1)
-        mutated["mean"] = [0.5, 0.5, 0.5]
-        sidecar.write_text(json.dumps(mutated))
-        ds = load_cifar100(tmp_path, "train")
-        assert json.loads(sidecar.read_text())["mean"] == [0.5, 0.5, 0.5]
-        x, _ = unit_pixels(tmp_path, "train")
-        std = np.asarray(stats1["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-        assert whole(ds).tobytes() == ((x - np.float32(0.5)) / std).tobytes()
-
-    @pytest.mark.parametrize("damage", DAMAGED_SIDECARS.values(), ids=DAMAGED_SIDECARS.keys())
-    def test_damaged_sidecar_is_recomputed_and_replaced(self, tmp_path, damage):
-        fresh, damaged = tmp_path / "fresh", tmp_path / "damaged"
-        for d in (fresh, damaged):
-            write_synthetic_cifar100(d, 2, 1, num_classes=5, seed=1)
-        load_cifar100(fresh, "train")
-        good = (fresh / "channel_stats.json").read_text()
-        sidecar = damaged / "channel_stats.json"
-        sidecar.write_bytes(damage(good))
-        for split in ("test", "train"):
-            got = load_cifar100(damaged, split)
-            assert whole(got).tobytes() == whole(load_cifar100(fresh, split)).tobytes()
-            assert sidecar.read_text() == good
-
-    def test_train_split_checks_sidecar_without_reopening_train_bin(self, tmp_path, monkeypatch):
-        write_synthetic_cifar100(tmp_path, 2, 1, num_classes=5, seed=1)
-        load_cifar100(tmp_path, "train")
-        opened = []
-
-        def recording_open(path, *args, **kwargs):
-            opened.append(Path(path).name)
-            return open(path, *args, **kwargs)
-
-        monkeypatch.setattr(data, "open", recording_open, raising=False)
-        load_cifar100(tmp_path, "train")
-        assert "train.bin" not in opened
-        load_cifar100(tmp_path, "test")  # the test split still hashes train.bin itself
-        assert opened.count("train.bin") == 1
+        assert read == ["train.bin"] and computed == [10]
+        load_cifar100(tmp_path, "test")  # re-reads train.bin to key its statistics, kept from the train load
+        assert read == ["train.bin", "test.bin", "train.bin"] and computed == [10]
 
     def test_replaced_train_records_get_fresh_statistics(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -227,16 +177,19 @@ class TestStandardization:
             write_cifar_records(tmp_path / "train.bin", labels, labels, pixels)
             return pixels
 
-        write_train(0, 100)
-        load_cifar100(tmp_path, "train")
+        first_pixels = write_train(0, 100)
+        first = load_cifar100(tmp_path, "train")
         pixels = write_train(100, 256)  # same size, different bytes
         ds = load_cifar100(tmp_path, "train")
         x = pixels.astype(np.float32) / np.float32(255.0)
-        stats = json.loads((tmp_path / "channel_stats.json").read_text())
-        assert stats["mean"] == [float(m) for m in x.mean(axis=(0, 2, 3), dtype=np.float64)]
-        assert stats["train_bytes"] == (tmp_path / "train.bin").stat().st_size
+        assert ds.mean.tobytes() == x.mean(axis=(0, 2, 3), dtype=np.float64).astype(np.float32).tobytes()
+        assert ds.std.tobytes() == x.std(axis=(0, 2, 3), dtype=np.float64).astype(np.float32).tobytes()
         np.testing.assert_allclose(whole(ds).mean(axis=(0, 2, 3), dtype=np.float64), 0.0, atol=1e-3)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["channel_stats.json", "train.bin"]
+        write_cifar_records(tmp_path / "train.bin", labels, labels, first_pixels)  # the first bytes again
+        again = load_cifar100(tmp_path, "train")
+        assert again.mean is first.mean and again.std is first.std
+        assert not (first.mean.flags.writeable or first.std.flags.writeable)
+        assert [p.name for p in tmp_path.iterdir()] == ["train.bin"]
 
     def test_constant_channel_train_split_refused_naming_file_and_channel(self, tmp_path):
         labels = np.arange(4, dtype=np.uint8)
@@ -247,16 +200,18 @@ class TestStandardization:
         for split in ("train", "test"):
             with pytest.raises(ValueError, match=r"train\.bin: channel 1 has std 0\.0"):
                 load_cifar100(tmp_path, split)
-        assert not (tmp_path / "channel_stats.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.bin", "train.bin"]
 
     def test_test_split_uses_train_statistics(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 4, 4, num_classes=10, seed=2)
         test_norm = load_cifar100(tmp_path, "test")
-        stats = json.loads((tmp_path / "channel_stats.json").read_text())
+        train_raw, _ = unit_pixels(tmp_path, "train")
+        mean = train_raw.mean(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+        std = train_raw.std(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+        assert test_norm.mean.tobytes() == mean.tobytes() and test_norm.std.tobytes() == std.tobytes()
         test_raw, _ = unit_pixels(tmp_path, "test")
-        mean = np.asarray(stats["mean"], dtype=np.float32).reshape(1, 3, 1, 1)
-        std = np.asarray(stats["std"], dtype=np.float32).reshape(1, 3, 1, 1)
-        np.testing.assert_allclose(whole(test_norm), (test_raw - mean) / std, rtol=1e-6)
+        want = (test_raw - mean.reshape(1, 3, 1, 1)) / std.reshape(1, 3, 1, 1)
+        np.testing.assert_allclose(whole(test_norm), want, rtol=1e-6)
 
 
 def pixel_dataset(pixels, labels):
@@ -394,20 +349,19 @@ def write_random_split(path, n, seed):
 
 
 @pytest.mark.parametrize("n", [1, data._STATS_CHUNK - 1, data._STATS_CHUNK + 1, 2 * data._STATS_CHUNK + 1])
-def test_sidecar_holds_the_one_shot_statistics_of_the_decoded_split(tmp_path, n):
-    # the sidecar's text is the one-shot x.mean and x.std of the whole
-    # x/255 split, both when it replaces a stale sidecar (written for
-    # another train.bin of the same size) and when none exists
+def test_train_statistics_are_the_one_shot_statistics_of_the_decoded_split(tmp_path, n):
+    # a split's mean and std are the float32 of the one-shot x.mean and
+    # x.std of the whole x/255 train split, both when they are computed
+    # for a train.bin that replaced another of the same size and when
+    # they are kept from an earlier load of the same bytes
     train = tmp_path / "train.bin"
     write_random_split(train, n, seed=n + 1)
     load_cifar100(tmp_path, "train")
     raw = write_random_split(train, n, seed=n)
-    want = standardized_split_reference(raw, raw)[0]
-    load_cifar100(tmp_path, "train")
-    assert (tmp_path / "channel_stats.json").read_text() == want
-    (tmp_path / "channel_stats.json").unlink()
-    load_cifar100(tmp_path, "train")
-    assert (tmp_path / "channel_stats.json").read_text() == want
+    want = [a.tobytes() for a in standardized_split_reference(raw, raw)[0]]
+    for _ in range(2):
+        ds = load_cifar100(tmp_path, "train")
+        assert [ds.mean.tobytes(), ds.std.tobytes()] == want
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
@@ -429,20 +383,24 @@ def test_drawn_images_have_the_whole_split_standardizations_bits(tmp_path, split
     assert np.concatenate([x for x, _ in eval_batches(ds, 32)]).tobytes() == want.tobytes()
 
 
-def test_loading_holds_the_records_and_one_statistics_chunk_at_most(tmp_path):
-    # no float copy of the split: the peak is the records as read plus
-    # one float64 chunk of the statistics (here recomputed, as no sidecar
-    # exists yet) and numpy's casting buffers, under 128 KiB
-    n = 4000
-    write_random_split(tmp_path / "train.bin", n, seed=0)
-    tracemalloc.start()
-    try:
-        ds = load_cifar100(tmp_path, "train")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (tmp_path / "channel_stats.json").exists() and len(ds) == n
-    assert peak < n * RECORD_BYTES + data._STATS_CHUNK * 3 * 32 * 32 * 8 + 2**17
+def test_loading_holds_the_records_and_one_statistics_chunk_at_most(tmp_path, monkeypatch):
+    # no float copy of a split: the peak is the records as read (the test
+    # split's and train.bin's, which it reads for its statistics) plus one
+    # float64 chunk of the statistics (here computed, as none are kept
+    # yet) and numpy's casting buffers, under 128 KiB
+    n = {"train": 4000, "test": 1000}
+    for split, count in n.items():
+        write_random_split(tmp_path / f"{split}.bin", count, seed=count)
+    for split, records in (("test", n["train"] + n["test"]), ("train", n["train"])):
+        monkeypatch.setattr(data, "_TRAIN_STATS", {})
+        tracemalloc.start()
+        try:
+            ds = load_cifar100(tmp_path, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == n[split] and len(data._TRAIN_STATS) == 1
+        assert peak < records * RECORD_BYTES + data._STATS_CHUNK * 3 * 32 * 32 * 8 + 2**17
 
 
 CHUNK = data._SYNTH_CHUNK
@@ -470,9 +428,9 @@ def test_chunked_writer_and_loader_match_one_shot_references(
     splits = [first_split, "test" if first_split == "train" else "train"]
     loaded = {split: load_cifar100(tmp_path, split) for split in splits}
     for split, raw in zip(("train", "test"), files):
-        stats_text, images, labels = standardized_split_reference(files[0], raw)
-        assert (tmp_path / "channel_stats.json").read_text() == stats_text
+        (mean, std), images, labels = standardized_split_reference(files[0], raw)
         ds = loaded[split]
+        assert ds.mean.tobytes() == mean.tobytes() and ds.std.tobytes() == std.tobytes()
         got = whole(ds)
         assert got.dtype == np.float32 and got.flags.c_contiguous
         assert got.shape == images.shape and got.tobytes() == images.tobytes()

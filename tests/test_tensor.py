@@ -675,7 +675,7 @@ class TestTapeMemory:
             assert closure_value(tape._records[-1][2], "kept") is None
 
     @pytest.mark.parametrize("batch_size, keeps", [(2, True), (4, False), (8, False)])
-    def test_only_a_step_under_half_the_probe_batch_keeps_patch_matrices(self, monkeypatch, batch_size, keeps):
+    def test_a_batch_up_to_an_eighth_of_the_probes_keeps_patches(self, monkeypatch, batch_size, keeps):
         # A keeping step holds about twice a default step's memory, so a
         # step keeps only while its batch is at most an eighth of the
         # probe's (16 images here), where the probe still sets the peak.

@@ -14,9 +14,9 @@ into the data directory. A split is held as its pixel bytes, a uint8
 view of the records as read, and only the images a caller draws (a
 batch, an evaluation slice, the probe batch) are decoded and
 standardized, each step in float32, so an image has the same bits
-whatever batch it is drawn in. The statistics are summed over float64
-chunks decoded straight from the bytes, so no path holds a float array
-of a whole split. No augmentation of any kind is applied here: the
+whatever batch it is drawn in. The statistics are taken from counts
+of each byte value per channel, so no path holds a float array of a
+whole split. No augmentation of any kind is applied here: the
 training recipes this lab studies are deliberately bare, and augmenting
 would confound them.
 
@@ -52,7 +52,7 @@ SPLIT_FILES = {"train": "train.bin", "test": "test.bin"}
 DATA_DIR_ENV = "ACTLAB_DATA_DIR"
 PUBLIC_SOURCE = "https://www.cs.toronto.edu/~kriz/cifar.html (CIFAR-100 binary version)"
 _SYNTH_CHUNK = 128  # samples per noise draw in write_synthetic_cifar100
-_STATS_CHUNK = 256  # samples per float64 chunk of the channel statistics
+_STATS_CHUNK = 256  # samples per chunk of the channel statistics' byte-value counts
 _SYNTH_SIGNAL = 0.85  # prototype share of a synthetic pixel; the rest is noise
 _TRAIN_STATS: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # train records' sha256 -> (mean, std)
 
@@ -166,32 +166,22 @@ def _channel_stats(data_dir: Path, train_records: np.ndarray | None) -> tuple[np
 
 
 def _pixel_stats(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x.mean`` and ``x.std`` with ``axis=(0, 2, 3), dtype=np.float64``
-    of the float32 x/255 decode x of uint8 [N, C, H, W] pixels, bit for
-    bit, from float64 chunks of ``_STATS_CHUNK`` samples decoded straight
-    from the bytes instead of one copy of all of x. numpy's sums (of x,
-    then of the squared deviations from the mean) are a pairwise sum over
-    each sample's H*W values per channel, added sample after sample;
-    this adds them in that order."""
+    """The float64 per-channel mean and std of the float32 x/255 decode x
+    of uint8 [N, C, H, W] pixels. x takes only 256 values, so this counts
+    each byte value per channel, over chunks of ``_STATS_CHUNK`` samples,
+    and weights the 256 decoded values by those counts. The counts are
+    exact, so the result depends on neither the order of the samples nor
+    the chunk size, and a constant channel's mean is exactly its value."""
     n, c = pixels.shape[:2]
+    counts = np.zeros((c, 256), dtype=np.int64)
+    for start in range(0, n, _STATS_CHUNK):
+        part = pixels[start : start + _STATS_CHUNK]
+        for ch in range(c):
+            counts[ch] += np.bincount(part[:, ch].ravel(), minlength=256)
+    decoded = (np.arange(256, dtype=np.float32) / np.float32(255.0)).astype(np.float64)
     count = pixels.size // c
-    chunk = np.empty((min(n, _STATS_CHUNK), *pixels.shape[1:]))
-
-    def channel_sum(center: np.ndarray | None) -> np.ndarray:
-        total = np.zeros(c)
-        for start in range(0, n, _STATS_CHUNK):
-            part = pixels[start : start + _STATS_CHUNK]
-            d = chunk[: len(part)]
-            np.divide(part, np.float32(255.0), out=d, dtype=np.float32)  # float32 x/255, held in float64
-            if center is not None:
-                d -= center.reshape(1, c, 1, 1)
-                np.multiply(d, d, out=d)
-            for per_sample in d.reshape(d.shape[0], c, -1).sum(axis=2):
-                total += per_sample
-        return total
-
-    mean = channel_sum(None) / count
-    return mean, np.sqrt(channel_sum(mean) / count)
+    mean = (counts * decoded).sum(axis=1) / count
+    return mean, np.sqrt((counts * (decoded - mean[:, None]) ** 2).sum(axis=1) / count)
 
 
 def load_cifar100(data_dir, split: str) -> Dataset:

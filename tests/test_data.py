@@ -192,15 +192,20 @@ class TestStandardization:
         assert [p.name for p in tmp_path.iterdir()] == ["train.bin"]
 
     def test_constant_channel_train_split_refused_naming_file_and_channel(self, tmp_path):
-        labels = np.arange(4, dtype=np.uint8)
-        pixels = np.random.default_rng(0).integers(0, 256, size=(4, 3, 32, 32), dtype=np.uint8)
-        pixels[:, 1] = 77
-        for split in ("train", "test"):
-            write_cifar_records(tmp_path / f"{split}.bin", labels, labels, pixels)
-        for split in ("train", "test"):
-            with pytest.raises(ValueError, match=r"train\.bin: channel 1 has std 0\.0"):
-                load_cifar100(tmp_path, split)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.bin", "train.bin"]
+        # 3 samples hold 3,072 values per channel, no power of two: the
+        # constant channel's mean must still come back as exactly its value
+        for n in (4, 3):
+            d = tmp_path / str(n)
+            d.mkdir()
+            labels = np.arange(n, dtype=np.uint8)
+            pixels = np.random.default_rng(0).integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8)
+            pixels[:, 1] = 77
+            for split in ("train", "test"):
+                write_cifar_records(d / f"{split}.bin", labels, labels, pixels)
+            for split in ("train", "test"):
+                with pytest.raises(ValueError, match=r"train\.bin: channel 1 has std 0\.0"):
+                    load_cifar100(d, split)
+            assert sorted(p.name for p in d.iterdir()) == ["test.bin", "train.bin"]
 
     def test_test_split_uses_train_statistics(self, tmp_path):
         write_synthetic_cifar100(tmp_path, 4, 4, num_classes=10, seed=2)
@@ -331,13 +336,50 @@ class TestSynthetic:
         assert acc > 0.9
 
 
+def float32_stats(mean, std):
+    """The bytes of float64 channel statistics cast to float32, as a
+    Dataset holds them."""
+    return [a.astype(np.float32).tobytes() for a in (mean, std)]
+
+
+def one_shot_float32_stats(pixels):
+    """float32_stats of numpy's one-shot float64 x.mean and x.std of the
+    whole float32 x/255 decode of ``pixels``."""
+    x = pixels.astype(np.float32) / np.float32(255.0)
+    return float32_stats(x.mean(axis=(0, 2, 3), dtype=np.float64), x.std(axis=(0, 2, 3), dtype=np.float64))
+
+
 @pytest.mark.parametrize("n", [1, data._STATS_CHUNK - 1, data._STATS_CHUNK, data._STATS_CHUNK + 1, 600])
 def test_chunked_channel_std_has_numpys_bits(n):
+    # in float32, which standardizes: the float64 statistics add in
+    # another order than numpy's, so their last bits may differ
     pixels = np.random.default_rng(n).integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
-    x = pixels.astype(np.float32) / np.float32(255.0)
-    mean, std = data._pixel_stats(pixels)
-    assert mean.tobytes() == x.mean(axis=(0, 2, 3), dtype=np.float64).tobytes()
-    assert std.tobytes() == x.std(axis=(0, 2, 3), dtype=np.float64).tobytes()
+    assert float32_stats(*data._pixel_stats(pixels)) == one_shot_float32_stats(pixels)
+
+
+def test_channel_statistics_have_numpys_float32_bits_on_random_splits():
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        low = int(rng.integers(0, 256))
+        high = int(rng.integers(low, 256)) + 1  # high == low + 1 gives a constant split, std 0
+        pixels = rng.integers(low, high, (n, 3, 32, 32), dtype=np.uint8)
+        assert float32_stats(*data._pixel_stats(pixels)) == one_shot_float32_stats(pixels), (n, low, high)
+
+
+def test_channel_statistics_depend_on_neither_sample_order_nor_chunk_size(monkeypatch):
+    rng = np.random.default_rng(5)
+    pixels = rng.integers(0, 256, (300, 3, 32, 32), dtype=np.uint8)
+
+    def stats_bytes(p):
+        return [a.tobytes() for a in data._pixel_stats(p)]
+
+    want = stats_bytes(pixels)
+    for order in (rng.permutation(300), np.arange(300)[::-1]):
+        assert stats_bytes(pixels[order]) == want
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(data, "_STATS_CHUNK", chunk)
+        assert stats_bytes(pixels) == want
 
 
 def write_random_split(path, n, seed):
@@ -386,8 +428,9 @@ def test_drawn_images_have_the_whole_split_standardizations_bits(tmp_path, split
 def test_loading_holds_the_records_and_one_statistics_chunk_at_most(tmp_path, monkeypatch):
     # no float copy of a split: the peak is the records as read (the test
     # split's and train.bin's, which it reads for its statistics) plus one
-    # float64 chunk of the statistics (here computed, as none are kept
-    # yet) and numpy's casting buffers, under 128 KiB
+    # chunk's channel bytes, copied and cast to intp for np.bincount (the
+    # statistics are computed here, as none are kept yet), and the byte
+    # counts and numpy's buffers, under 128 KiB
     n = {"train": 4000, "test": 1000}
     for split, count in n.items():
         write_random_split(tmp_path / f"{split}.bin", count, seed=count)
@@ -400,7 +443,7 @@ def test_loading_holds_the_records_and_one_statistics_chunk_at_most(tmp_path, mo
         finally:
             tracemalloc.stop()
         assert len(ds) == n[split] and len(data._TRAIN_STATS) == 1
-        assert peak < records * RECORD_BYTES + data._STATS_CHUNK * 3 * 32 * 32 * 8 + 2**17
+        assert peak < records * RECORD_BYTES + data._STATS_CHUNK * 32 * 32 * (np.dtype(np.intp).itemsize + 1) + 2**17
 
 
 CHUNK = data._SYNTH_CHUNK

@@ -112,21 +112,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     derivative of ``beta_raw``.
     """
     x = np.asarray(x)
-    return _sigmoid_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x, dtype=bool))
+    return _sigmoid_into(x, np.empty_like(x), np.empty_like(x))
 
 
-def _sigmoid_into(x: np.ndarray, out: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """sigmoid(x) into ``out``; ``den`` and the bool ``mask`` are scratch
-    of x's shape. x is not read after ``mask`` is written, so ``den`` may
-    be x itself."""
+def _sigmoid_into(x: np.ndarray, out: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """sigmoid(x) into ``out``; ``den`` is scratch of x's shape and dtype,
+    spent on the x >= 0 indicator (0 or 1) and then the numerator. x is
+    last read when that indicator is written, after -|x| is taken, so
+    ``den`` may be x itself."""
     np.negative(x, out=out)
     np.minimum(x, out, out=out)  # -|x|; a NaN keeps x's own bits
-    np.greater_equal(x, 0, out=mask)
+    np.greater_equal(x, 0, out=den)
     np.exp(out, out=out)  # e: in [0, 1], or NaN
-    np.add(out, 1.0, out=den)
     # The numerator: 1 where x >= 0, as e <= 1 there; e (or its NaN) elsewhere.
-    np.maximum(out, mask, out=out)
-    return np.divide(out, den, out=out)
+    np.maximum(out, den, out=den)
+    np.add(out, 1.0, out=out)
+    return np.divide(den, out, out=out)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -231,33 +232,33 @@ def _anchor_term(c, beta):
     return q, c * q
 
 
-def _zc_swish_into(x, c, beta, g, cq, u, t, mask, s, core, out):
+def _zc_swish_into(x, c, beta, g, cq, u, t, s, core, out):
     """zc_swish's forward formula on one block, every step a ufunc that
     writes into the given arrays: u = x - c, t = beta * u, s = sigmoid(t)
-    (t is spent as its denominator), core = u * s + cq, out = g * core,
+    (t is spent as its scratch), core = u * s + cq, out = g * core,
     where cq is ``_anchor_term``'s c * q. c, beta, g and cq are scalars or
-    per-channel values broadcasting over x; ``mask`` is bool scratch.
-    ``s``, ``core`` and ``out`` may be one array. At x = 0, t is
-    -(beta * c) bit for bit, so f(0) == 0 exactly."""
+    per-channel values broadcasting over x; ``u`` and ``t`` are float
+    arrays of the broadcast shape in x's dtype. ``s``, ``core`` and ``out``
+    may be one array. At x = 0, t is -(beta * c) bit for bit, so
+    f(0) == 0 exactly."""
     np.subtract(x, c, out=u)
     np.multiply(beta, u, out=t)
-    _sigmoid_into(t, s, t, mask)
+    _sigmoid_into(t, s, t)
     np.multiply(u, s, out=core)
     np.add(core, cq, out=core)
     return np.multiply(g, core, out=out)
 
 
-def _walk_blocks(x, floats: int, masks: int = 0):
+def _walk_blocks(x, floats: int):
     """Yield ``(b, views)`` for each of x's
     :func:`~actlab.tensor.sample_blocks` of ``_BLOCK_BYTES``: ``b`` is the
     block's slice and ``views`` holds ``floats`` scratch arrays of x's
-    dtype and layout, then ``masks`` bool ones, each cut to the block's
-    samples. The scratch is allocated once, one block in size, so no
-    temporary is larger than a block."""
+    dtype and layout, each cut to the block's samples. The scratch is
+    allocated once, one block in size, so no temporary is larger than a
+    block."""
     blocks = sample_blocks(x, _BLOCK_BYTES)
     head = x[: blocks[0].stop if blocks else 0]
     scratch = [np.empty_like(head) for _ in range(floats)]
-    scratch += [np.empty_like(head, dtype=bool) for _ in range(masks)]
     for b in blocks:
         n = b.stop - b.start
         yield b, [a[:n] for a in scratch]
@@ -269,8 +270,8 @@ def _zc_swish_blocks(x, c, beta, g, cq, s, core, out):
     shape; they may be one array). c, beta, g and cq broadcast over every
     block: scalars, or one-sample tiles. Each element runs the same chain
     with the same operands, so no bit depends on the blocking."""
-    for b, (u, t, mask) in _walk_blocks(x, 2, 1):
-        _zc_swish_into(x[b], c, beta, g, cq, u, t, mask, s[b], core[b], out[b])
+    for b, (u, t) in _walk_blocks(x, 2):
+        _zc_swish_into(x[b], c, beta, g, cq, u, t, s[b], core[b], out[b])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +465,7 @@ def _predicted_mean_and_std(c: np.ndarray, nodes: np.ndarray, weights: np.ndarra
     ``c``: one run of the forward chain on a [len(c), len(nodes)] array."""
     c = c[:, None]
     u, t, f = (np.empty((c.size, nodes.size)) for _ in range(3))
-    _zc_swish_into(nodes, c, beta, 1.0, _anchor_term(c, beta)[1], u, t, np.empty_like(u, dtype=bool), f, f, f)
+    _zc_swish_into(nodes, c, beta, 1.0, _anchor_term(c, beta)[1], u, t, f, f, f)
     m1 = f @ weights
     m2 = (f * f) @ weights
     return m1, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))

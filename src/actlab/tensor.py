@@ -143,9 +143,9 @@ class Tape:
     ``keep_patches`` trades memory for time: a float32 conv2d whose weight
     requires a gradient keeps its forward's patch matrix until its record
     replays, rather than rebuilding it there, and writes the input's patch
-    gradient into it. A keeping training step holds about twice the live
-    memory of a step on a default tape (1.8 to 2.2 times, traced); the
-    layer-stats probe and gradcheck never keep. Either way the bits are
+    gradient into it. A keeping training step holds 1.4 to 2.4 times the
+    live memory of a step on a default tape (traced; README, "Memory");
+    the layer-stats probe and gradcheck never keep. Either way the bits are
     the same.
     """
 

@@ -210,7 +210,7 @@ def train(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, seed: i
     probe_idx = probe_rng.choice(len(train_ds), size=probe_n, replace=False)
     probe_images = train_ds.images(probe_idx)
     probe_labels = train_ds.fine_labels[probe_idx]
-    # A step that keeps its conv patch matrices holds about twice a
+    # A step that keeps its conv patch matrices holds 1.4 to 2.4 times a
     # default step's live memory. The probe, run in chunks of the batch,
     # holds every site's output for all its images, so it still sets the
     # run's memory peak while the batch is at most an eighth of the probe's

@@ -329,11 +329,17 @@ class TestSigmoidSoftplus:
         x = np.concatenate([specials, scaled, np.finfo(dtype).tiny * rng.uniform(-1, 1, 200)]).astype(dtype)
         rng.shuffle(x)
         grid = x[:3900].reshape(30, 130)
-        cases = [x, grid.T[::2, 1::3], grid[7], np.asarray(x[0]), x[1], dtype(-0.0), dtype(np.nan)]
+        channels_last = x[:3840].reshape(4, 8, 10, 12).transpose(0, 3, 1, 2)
+        cases = [x, grid.T[::2, 1::3], grid[7], channels_last, np.asarray(x[0]), x[1], dtype(-0.0), dtype(np.nan)]
         for case in cases:
             got, want = sigmoid(case), sigmoid_masked(case)
             assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
             np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+            if isinstance(case, np.ndarray):
+                # zc_swish's chain passes its scratch as both x and den
+                c = case.copy()
+                got = activations._sigmoid_into(c, np.empty_like(c), c)
+                np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
 
 class TestCenteringAnchor:

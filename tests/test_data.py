@@ -93,7 +93,7 @@ class TestLoader:
         with pytest.raises(ValueError, match=str(RECORD_BYTES + 5)):
             load_cifar100(tmp_path, "train")
 
-    def test_empty_train_file_refused_without_sidecar(self, tmp_path):
+    def test_empty_train_file_refused_writing_nothing(self, tmp_path):
         (tmp_path / "train.bin").write_bytes(b"")
         with pytest.raises(ValueError, match="train.bin holds no records"):
             load_cifar100(tmp_path, "train")
@@ -350,7 +350,7 @@ def one_shot_float32_stats(pixels):
 
 
 @pytest.mark.parametrize("n", [1, data._STATS_CHUNK - 1, data._STATS_CHUNK, data._STATS_CHUNK + 1, 600])
-def test_chunked_channel_std_has_numpys_bits(n):
+def test_channel_statistics_have_numpys_float32_bits_at_chunk_edges(n):
     # in float32, which standardizes: the float64 statistics add in
     # another order than numpy's, so their last bits may differ
     pixels = np.random.default_rng(n).integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)

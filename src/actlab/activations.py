@@ -376,8 +376,7 @@ def apply_activation(x: Tensor, kind: ActivationKind, params: ZCSwishParams | No
     out, saved = forward(x.data)
 
     def backward_fn(g: np.ndarray):
-        if x.requires_grad:
-            x.grad += g * dx(*saved)
+        x.grad += g * dx(*saved)
 
     return record_op(Tensor(out), (x,), backward_fn)
 

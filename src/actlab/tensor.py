@@ -11,7 +11,11 @@ is replayed, and each record, with the arrays its backward closure
 saved, is released as soon as its replay returns, so a backward pass
 never holds all of the forward state and all of the gradients at once.
 An op that will not be recorded (no active tape, or no input that
-requires a gradient) keeps nothing for a backward.
+requires a gradient) keeps nothing for a backward. A recorded op
+therefore has an input that requires a gradient, and the tape allocates
+that gradient before the op's backward runs, so a one-input op's
+backward adds into its input's gradient without checking; only ops with
+several inputs check which of them require one.
 
 Two kernel families exist for conv2d and linear, selected by dtype:
 
@@ -197,7 +201,15 @@ def will_record(inputs: Sequence[Tensor]) -> bool:
 
 
 def record_op(output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Attach ``output`` to the innermost active tape, if gradients are wanted."""
+    """Attach ``output`` to the innermost active tape, if gradients are wanted.
+
+    A recorded op thus has an input that requires a gradient, and
+    :meth:`Tape.backward` allocates that gradient before it calls
+    ``backward_fn``, so a one-input op's ``backward_fn`` adds into its
+    input's ``grad`` without checking ``requires_grad`` (no flag may be
+    cleared between the record and its replay). An op with several inputs
+    checks each, since some may need no gradient.
+    """
     if will_record(inputs):
         output.requires_grad = True
         _tapes[-1].record(output, inputs, backward_fn)
@@ -303,8 +315,7 @@ def scale(a: Tensor, k: float) -> Tensor:
     out = Tensor(a.data * a.data.dtype.type(k))
 
     def backward_fn(g: np.ndarray):
-        if a.requires_grad:
-            a.grad += g * a.data.dtype.type(k)
+        a.grad += g * a.data.dtype.type(k)
 
     return record_op(out, (a,), backward_fn)
 
@@ -314,8 +325,7 @@ def tsum(a: Tensor) -> Tensor:
     out = Tensor(np.sum(a.data))
 
     def backward_fn(g: np.ndarray):
-        if a.requires_grad:
-            a.grad += g
+        a.grad += g
 
     return record_op(out, (a,), backward_fn)
 
@@ -324,8 +334,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def backward_fn(g: np.ndarray):
-        if a.requires_grad:
-            a.grad += g.reshape(a.shape)
+        a.grad += g.reshape(a.shape)
 
     return record_op(out, (a,), backward_fn)
 
@@ -505,8 +514,6 @@ def maxpool2(x: Tensor) -> Tensor:
     out = Tensor(m)
 
     def backward_fn(g: np.ndarray):
-        if not x.requires_grad:
-            return
         # Integer products on the bit patterns: g's bits where the window's
         # winner sits, +0.0's bits at the other three elements.
         gbits = np.asarray(g, dtype=x.dtype).view(bits)
@@ -602,8 +609,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     out = Tensor(x.data * mask)
 
     def backward_fn(g: np.ndarray):
-        if x.requires_grad:
-            x.grad += g * mask
+        x.grad += g * mask
 
     return record_op(out, (x,), backward_fn)
 
@@ -638,8 +644,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     out = Tensor(np.asarray(nll.mean(), dtype=z.dtype))
 
     def backward_fn(g: np.ndarray):
-        if not logits.requires_grad:
-            return
         p = ez / sez
         p[np.arange(n), lab] -= 1.0
         logits.grad += g * p / z.dtype.type(n)

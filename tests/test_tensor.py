@@ -496,7 +496,44 @@ class TestSoftmaxCrossEntropy:
         assert err < 1e-9
 
 
+# Every op with one tensor input, as (input shape, op). Their backward
+# adds into the input's gradient unchecked, relying on the tape's rule.
+ONE_INPUT_OPS = {
+    "scale": ((2, 3, 4, 4), lambda x: scale(x, -1.5)),
+    "tsum": ((2, 3, 4, 4), tsum),
+    "reshape": ((2, 3, 4, 4), lambda x: reshape(x, (2, 48))),
+    "maxpool2": ((2, 3, 4, 4), maxpool2),
+    "dropout": ((2, 3, 4, 4), lambda x: dropout(x, 0.5, training=True, rng=np.random.default_rng(3))),
+    "softmax_cross_entropy": ((4, 5), lambda x: softmax_cross_entropy(x, np.array([0, 4, 2, 1]))),
+    **{
+        f"apply_activation-{kind.value}": ((2, 3, 4, 4), lambda x, kind=kind: apply_activation(x, kind))
+        for kind in (ActivationKind.RELU, ActivationKind.GELU, ActivationKind.SWISH)
+    },
+}
+
+
 class TestBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(ONE_INPUT_OPS))
+    def test_one_input_op_is_recorded_only_when_its_input_requires_a_gradient(self, name, dtype):
+        # What lets a one-input backward skip the requires_grad check: an
+        # input that needs no gradient records nothing, and one that needs
+        # it records the op once and has its gradient allocated on replay.
+        shape, op = ONE_INPUT_OPS[name]
+        data = np.random.default_rng(11).standard_normal(shape).astype(dtype)
+        with Tape() as tape:
+            out = op(Tensor(data))
+            assert tape._records == []
+            assert not out.requires_grad
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            out = op(x)
+            assert len(tape._records) == 1 and tape._records[0][1] == (x,)
+            assert out.requires_grad
+            tape.backward(out if out.ndim == 0 else tsum(out))
+        assert x.grad is not None
+        assert x.grad.shape == shape and x.grad.dtype == dtype
+
     def test_identity_loss(self):
         x = Tensor(np.asarray(3.0), requires_grad=True)
         with Tape() as tape:

@@ -20,13 +20,19 @@ several inputs check which of them require one.
 Two kernel families exist for conv2d and linear, selected by dtype:
 
 * float32 (the training path): one BLAS GEMM per pass. conv2d builds its
-  patch matrix from a channels-last padded input with 9 slice copies and
-  returns a channels-last view of the GEMM result. The 9 copies, and the 9
-  adds that scatter the patch gradient back, run over the
-  :func:`sample_blocks` of the patch buffer. On a tape made with
-  ``Tape(keep_patches=True)`` the patch matrix is kept for the weight
-  gradient; on any other tape the backward rebuilds it from the input,
-  with the same bytes.
+  patch matrix with 9 slice copies, one per kernel tap, and returns a
+  channels-last view of the GEMM result. The matrix has two layouts. Row-
+  major, (N*H*W, C*9), is copied from a channels-last padded input over
+  the :func:`sample_blocks` of the patch buffer. K-major, (C*9, N*H*W), is
+  copied as contiguous (N, H, W) slabs from a (C, N, H+2, W+2) padded
+  input, and BLAS reads it through its transpose. :func:`_k_major` picks
+  K-major where the image is at least as wide as the layer is deep and the
+  GEMMs are large enough (C_out >= 2, over 10^6 multiply-adds) for
+  OpenBLAS to pack both operands before its kernel, so both layouts give
+  the same bits. The 9 adds that scatter the patch gradient back are
+  row-major in both. On a tape made with ``Tape(keep_patches=True)`` the
+  patch matrix is kept for the weight gradient; on any other tape the
+  backward rebuilds it from the input, with the same bytes.
 * float64 (the verification path): fixed-order accumulation whose
   summation order matches a naive nested-loop evaluation bit for bit,
   and whose per-sample results are independent of the rest of the batch.
@@ -147,10 +153,11 @@ class Tape:
     ``keep_patches`` trades memory for time: a float32 conv2d whose weight
     requires a gradient keeps its forward's patch matrix until its record
     replays, rather than rebuilding it there, and writes the input's patch
-    gradient into it. A keeping training step holds 1.4 to 2.4 times the
-    live memory of a step on a default tape (traced; README, "Memory");
-    the layer-stats probe and gradcheck never keep. Either way the bits are
-    the same.
+    gradient into its memory, read as a row-major matrix whichever layout
+    (row-major or K-major, see :func:`conv2d`) it was built in. A keeping
+    training step holds 1.4 to 2.4 times the live memory of a step on a
+    default tape (traced; README, "Memory"); the layer-stats probe and
+    gradcheck never keep. Either way the bits are the same.
     """
 
     def __init__(self, keep_patches: bool = False):
@@ -354,9 +361,30 @@ def _pad1(x: np.ndarray) -> np.ndarray:
 
 _CHUNK_BYTES = 512 * 1024  # patch-buffer bytes per im2col / col2im block
 
+# OpenBLAS runs a float32 GEMM of at most this many multiply-adds on its
+# small-matrix kernels, which round differently for each operand layout.
+_SMALL_GEMM_MACS = 10**6
+
+
+def _k_major(n: int, c_in: int, c_out: int, h: int, w: int) -> bool:
+    """Whether a float32 conv2d builds its patch matrix K-major
+    (:func:`_im2col_k_major`) rather than row-major (:func:`_im2col`).
+
+    K-major copies write runs of W floats where row-major ones write one
+    float every 9, so they pay where the image is at least as wide as the
+    input is deep (W >= C_in); on 4x4 and 2x2 grids, and at 64 channels on
+    32x32, they were measured slower. Both layouts give every bit of the other where each
+    GEMM has C_out >= 2 and more than 10^6 multiply-adds: OpenBLAS then
+    packs both operands before its kernel runs, so the kernel sees the same
+    data from either. Below that its small-matrix kernels, and at C_out = 1
+    its GEMV, sum in an order that depends on the layout.
+    """
+    return w >= c_in and c_out >= 2 and n * h * w * c_out * c_in * 9 > _SMALL_GEMM_MACS
+
 
 def _im2col(xp: np.ndarray, h: int, w: int) -> np.ndarray:
-    """(N, H+2, W+2, C) padded input -> C-contiguous (N*H*W, C*9) patch matrix.
+    """(N, H+2, W+2, C) padded input -> row-major: a C-contiguous
+    (N*H*W, C*9) patch matrix.
 
     Each of the 9 kernel taps is one slice copy into an (N, H, W, C, 3, 3)
     buffer, whose reshape to the matrix is free. Column order is (channel,
@@ -372,6 +400,25 @@ def _im2col(xp: np.ndarray, h: int, w: int) -> np.ndarray:
             for kw in range(3):
                 cols[blk, ..., kh, kw] = xp[blk, kh : kh + h, kw : kw + w, :]
     return cols.reshape(n * h * w, c * 9)
+
+
+def _im2col_k_major(x: np.ndarray, h: int, w: int) -> np.ndarray:
+    """[N, C, H, W] input -> K-major: a C-contiguous (C*9, N*H*W) patch
+    matrix, the transpose of :func:`_im2col`'s, so its ``.T`` is an
+    F-ordered view of the same (N*H*W, C*9) matrix.
+
+    The input is padded into a (C, N, H+2, W+2) array, and each of the 9
+    kernel taps is one copy of contiguous (N, H, W) slabs, one per channel,
+    into the (C, 3, 3, N, H, W) buffer whose reshape is the matrix.
+    """
+    n, c = x.shape[:2]
+    xp = np.zeros((c, n, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, 3, 3, n, h, w), dtype=x.dtype)
+    for kh in range(3):
+        for kw in range(3):
+            cols[:, kh, kw] = xp[:, :, kh : kh + h, kw : kw + w]
+    return cols.reshape(c * 9, n * h * w)
 
 
 def _conv_forward_exact(xp: np.ndarray, w: np.ndarray, b: np.ndarray, h: int, wd: int) -> np.ndarray:
@@ -395,7 +442,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     Shapes: x [N, C_in, H, W], weight [C_out, C_in, 3, 3], bias [C_out];
     output [N, C_out, H, W]. Backward fills gradients for all three
     inputs. In float32 the output is channels-last in memory (a transposed
-    view of the (N*H*W, C_out) GEMM result).
+    view of the C-contiguous (N*H*W, C_out) GEMM result).
+
+    The float32 patch matrix is built in one of two layouts, chosen by
+    :func:`_k_major` from the shapes alone: K-major (:func:`_im2col_k_major`)
+    on layers at least as wide as they are deep that are large enough for
+    OpenBLAS's packed GEMM path, row-major (:func:`_im2col`) elsewhere. The
+    GEMMs read the K-major buffer through its transpose, so the output and
+    the weight gradient keep the bits of the row-major kernel. The input
+    gradient is scattered back from a row-major patch gradient in both.
     """
     _check(x.ndim == 4, f"conv2d input must be 4-d [N,C,H,W], got shape {x.shape}")
     n, c_in, h, w = x.shape
@@ -412,32 +467,41 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     _check(h >= 1 and w >= 1, f"conv2d spatial dims must be >= 1, got {h}x{w}")
     same_dtype(x, weight, bias)
 
-    xp = _pad1(x.data)
-    kept = None  # the patch matrix, kept for the backward on a keeping tape
+    k_major = x.data.dtype == np.float32 and _k_major(n, c_in, c_out, h, w)
+
+    def patches() -> np.ndarray:
+        # The C-contiguous patch buffer: (C_in*9, N*H*W) K-major, else
+        # (N*H*W, C_in*9). x.data is never written into, so a rebuild in
+        # the backward has the forward's bytes.
+        return _im2col_k_major(x.data, h, w) if k_major else _im2col(_pad1(x.data), h, w)
+
+    kept = None  # the patch buffer, kept for the backward on a keeping tape
     if x.data.dtype == np.float64:
-        out_data = _conv_forward_exact(xp, weight.data, bias.data, h, w)
+        out_data = _conv_forward_exact(_pad1(x.data), weight.data, bias.data, h, w)
     else:
-        cols = _im2col(xp, h, w)
-        out_data = cols @ weight.data.reshape(c_out, c_in * 9).T
+        buf = patches()
+        # an F-ordered view when K-major; the result is C-contiguous either way
+        out_data = (buf.T if k_major else buf) @ weight.data.reshape(c_out, c_in * 9).T
         out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
         out_data += channel_tile(bias.data, out_data)
         if weight.requires_grad and _tapes and _tapes[-1].keep_patches:
-            kept = cols
+            kept = buf
     out = Tensor(out_data)
 
     def backward_fn(g: np.ndarray):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * h * w, c_out)
-        cols = None  # a patch-matrix buffer the patch gradient may reuse
+        buf = None  # a patch buffer the patch gradient may reuse
         if weight.requires_grad:
-            # Unless the tape keeps it, the patch matrix is rebuilt from
-            # x.data, which no op writes into, so it has the forward's bytes.
-            cols = _im2col(_pad1(x.data), h, w) if kept is None else kept
-            weight.grad += (gmat.T @ cols).reshape(c_out, c_in, 3, 3)
+            buf = patches() if kept is None else kept
+            weight.grad += ((buf @ gmat).T if k_major else gmat.T @ buf).reshape(c_out, c_in, 3, 3)
         if bias.requires_grad:
             bias.grad += channel_sum(g)
         if x.requires_grad:
-            # over the patch matrix when there is one, so no second is made
-            gcols = np.matmul(gmat, weight.data.reshape(c_out, c_in * 9), out=cols)
+            # Written over the patch buffer when there is one, whose memory
+            # reads as row-major (N*H*W, C_in*9) whatever its layout, so no
+            # second is made; the scatter below is row-major either way.
+            w2d = weight.data.reshape(c_out, c_in * 9)
+            gcols = np.matmul(gmat, w2d, out=None if buf is None else buf.reshape(n * h * w, c_in * 9))
             gcols = gcols.reshape(n, h, w, c_in, 3, 3)
             gxp = np.zeros((n, h + 2, w + 2, c_in), dtype=x.dtype)
             for blk in sample_blocks(gcols, _CHUNK_BYTES):

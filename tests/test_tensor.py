@@ -241,6 +241,41 @@ def test_conv2d_bits_match_nchw_im2col_reference_over_several_chunks(n, c_in, si
             np.testing.assert_array_equal(bits(a), bits(b), err_msg=f"keep_patches={keep}")
 
 
+@pytest.mark.parametrize("channels_last", [False, True])
+@pytest.mark.parametrize(
+    "n, c_in, c_out, size",
+    [
+        (32, 3, 8, 32),  # desk conv1, at the desk batch
+        (16, 3, 8, 32),  # ... at the last batch of a desk epoch
+        (8, 3, 8, 32),
+        (32, 8, 16, 16),  # desk conv2
+        (16, 8, 16, 16),
+        (8, 8, 16, 16),
+        (128, 3, 64, 32),  # width/1 conv1, at the paper batch
+        (37, 3, 4, 16),  # 1,022,976 multiply-adds; at N = 36 the weight gradient's bits differ
+        (40, 3, 1, 32),  # 1,105,920 multiply-adds at C_out = 1, which stays row-major
+    ],
+)
+def test_conv2d_bits_match_nchw_im2col_reference_where_patches_are_k_major(n, c_in, c_out, size, channels_last):
+    # Layers the K-major rule admits: BLAS reads a K-major patch matrix
+    # through its transpose, and keeps every bit of the row-major kernel on
+    # both tapes. The image layer's input is NCHW, later layers' channels-last.
+    rng = np.random.default_rng(n * 1000 + c_in * 10 + c_out)
+    xd = rng.standard_normal((n, c_in, size, size)).astype(np.float32)
+    if channels_last:
+        xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    wd = rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32)
+    bd = rng.standard_normal(c_out).astype(np.float32)
+    gd = rng.standard_normal((n, c_out, size, size)).astype(np.float32)
+    want = conv2d_im2col_nchw(xd, wd, bd, gd)
+    for keep in KEEP_PATCHES:
+        got = conv2d_on_tape(xd, wd, bd, gd, keep)
+        assert got[0].strides == want[0].strides, f"keep_patches={keep}"
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(bits(a), bits(b), err_msg=f"keep_patches={keep}")
+    assert tensor_module._k_major(n, c_in, c_out, size, size) == (c_out >= 2)
+
+
 class TestMaxPool2:
     def test_two_by_two(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
@@ -710,6 +745,34 @@ class TestTapeMemory:
         with Tape(keep_patches=keep_patches) as tape:
             conv2d(x, w1, b1)
             assert closure_value(tape._records[-1][2], "kept") is None
+
+    @pytest.mark.parametrize("keep_patches", KEEP_PATCHES)
+    def test_a_k_major_backward_makes_no_second_patch_matrix(self, keep_patches):
+        # The patch gradient is written over the K-major patch buffer, read
+        # as a row-major matrix. Besides it, the backward allocates only
+        # input- and output-sized arrays (gradients, padding), each under a
+        # fifth of a patch matrix here: so under one patch matrix when the
+        # tape kept it, and under two when the backward rebuilt it.
+        n, c_in, c_out, size = 8, 8, 16, 16  # desk conv2 at batch 8
+        assert tensor_module._k_major(n, c_in, c_out, size, size)
+        rng = np.random.default_rng(12)
+        xd = rng.standard_normal((n, size, size, c_in), dtype=np.float32).transpose(0, 3, 1, 2)
+        x = Tensor(xd, requires_grad=True)
+        w = Tensor(rng.standard_normal((c_out, c_in, 3, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(c_out, dtype=np.float32), requires_grad=True)
+        patch_bytes = n * size * size * c_in * 9 * 4
+        with Tape(keep_patches=keep_patches) as tape:
+            loss = tsum(conv2d(x, w, b))
+            if keep_patches:
+                assert closure_value(tape._records[-2][2], "kept").shape == (c_in * 9, n * size * size)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert x.grad is not None and w.grad is not None
+        assert peak < patch_bytes * (1 if keep_patches else 2)
 
     @pytest.mark.parametrize("batch_size, keeps", [(2, True), (4, False), (8, False)])
     def test_a_batch_up_to_an_eighth_of_the_probes_keeps_patches(self, monkeypatch, batch_size, keeps):

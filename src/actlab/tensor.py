@@ -23,16 +23,17 @@ Two kernel families exist for conv2d and linear, selected by dtype:
   patch matrix with 9 slice copies, one per kernel tap, and returns a
   channels-last view of the GEMM result. The matrix has two layouts. Row-
   major, (N*H*W, C*9), is copied from a channels-last padded input over
-  the :func:`sample_blocks` of the patch buffer. K-major, (C*9, N*H*W), is
-  copied as contiguous (N, H, W) slabs from a (C, N, H+2, W+2) padded
-  input, and BLAS reads it through its transpose. :func:`_k_major` picks
-  K-major where the image is at least as wide as the layer is deep and the
-  GEMMs are large enough (C_out >= 2, over 10^6 multiply-adds) for
-  OpenBLAS to pack both operands before its kernel, so both layouts give
-  the same bits. The 9 adds that scatter the patch gradient back are
-  row-major in both. On a tape made with ``Tape(keep_patches=True)`` the
-  patch matrix is kept for the weight gradient; on any other tape the
-  backward rebuilds it from the input, with the same bytes.
+  the :func:`sample_blocks` of the patch buffer. K-major, (C*9, N*H*W) in
+  rows padded apart, is copied as contiguous (N, H, W) slabs from a
+  (C, N, H+2, W+2) padded input, and BLAS reads it through its transpose.
+  :func:`_k_major` picks K-major where the image is at least as wide as
+  the layer is deep and the GEMMs are large enough (C_out >= 2, over 10^6
+  multiply-adds) for OpenBLAS to pack both operands before its kernel, so
+  both layouts give the same bits. The 9 adds that scatter the patch
+  gradient back are row-major in both. On a tape made with
+  ``Tape(keep_patches=True)`` the patch matrix is kept for the weight
+  gradient; on any other tape the backward rebuilds it from the input,
+  with the same bytes.
 * float64 (the verification path): fixed-order accumulation whose
   summation order matches a naive nested-loop evaluation bit for bit,
   and whose per-sample results are independent of the rest of the batch.
@@ -402,23 +403,34 @@ def _im2col(xp: np.ndarray, h: int, w: int) -> np.ndarray:
     return cols.reshape(n * h * w, c * 9)
 
 
+# Floats added to each K-major patch row: 17 cache lines, an odd number.
+_K_MAJOR_ROW_PAD = 272
+
+
 def _im2col_k_major(x: np.ndarray, h: int, w: int) -> np.ndarray:
-    """[N, C, H, W] input -> K-major: a C-contiguous (C*9, N*H*W) patch
-    matrix, the transpose of :func:`_im2col`'s, so its ``.T`` is an
-    F-ordered view of the same (N*H*W, C*9) matrix.
+    """[N, C, H, W] input -> K-major: a C-contiguous (C*9, N*H*W +
+    ``_K_MAJOR_ROW_PAD``) array whose first N*H*W columns are the transpose
+    of :func:`_im2col`'s patch matrix, so ``[:, :N*H*W].T`` is an F-ordered
+    view of the same (N*H*W, C*9) matrix.
 
     The input is padded into a (C, N, H+2, W+2) array, and each of the 9
     kernel taps is one copy of contiguous (N, H, W) slabs, one per channel,
-    into the (C, 3, 3, N, H, W) buffer whose reshape is the matrix.
+    into the (C, 3, 3, N, H, W) view of those columns. The padding keeps
+    the rows from lying a power of two bytes apart, as N*H*W floats usually
+    do: BLAS reads all C*9 rows at once, and at such a stride the reads
+    collide in the cache, which made the GEMMs up to 2 times slower than
+    the row-major ones at a batch of 256.
     """
     n, c = x.shape[:2]
+    m = n * h * w
     xp = np.zeros((c, n, h + 2, w + 2), dtype=x.dtype)
     xp[:, :, 1 : h + 1, 1 : w + 1] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, 3, 3, n, h, w), dtype=x.dtype)
+    buf = np.empty((c * 9, m + _K_MAJOR_ROW_PAD), dtype=x.dtype)
+    cols = buf[:, :m].reshape(c, 3, 3, n, h, w)  # a view: each row's m floats are contiguous
     for kh in range(3):
         for kw in range(3):
             cols[:, kh, kw] = xp[:, :, kh : kh + h, kw : kw + w]
-    return cols.reshape(c * 9, n * h * w)
+    return buf
 
 
 def _conv_forward_exact(xp: np.ndarray, w: np.ndarray, b: np.ndarray, h: int, wd: int) -> np.ndarray:
@@ -468,11 +480,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     same_dtype(x, weight, bias)
 
     k_major = x.data.dtype == np.float32 and _k_major(n, c_in, c_out, h, w)
+    m, k = n * h * w, c_in * 9
 
     def patches() -> np.ndarray:
-        # The C-contiguous patch buffer: (C_in*9, N*H*W) K-major, else
-        # (N*H*W, C_in*9). x.data is never written into, so a rebuild in
-        # the backward has the forward's bytes.
+        # The C-contiguous patch buffer: the (m, k) matrix, or K-major a
+        # (k, m + pad) array whose first m columns are its transpose.
+        # x.data is never written into, so a rebuild in the backward has
+        # the forward's bytes.
         return _im2col_k_major(x.data, h, w) if k_major else _im2col(_pad1(x.data), h, w)
 
     kept = None  # the patch buffer, kept for the backward on a keeping tape
@@ -481,7 +495,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     else:
         buf = patches()
         # an F-ordered view when K-major; the result is C-contiguous either way
-        out_data = (buf.T if k_major else buf) @ weight.data.reshape(c_out, c_in * 9).T
+        out_data = (buf[:, :m].T if k_major else buf) @ weight.data.reshape(c_out, k).T
         out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
         out_data += channel_tile(bias.data, out_data)
         if weight.requires_grad and _tapes and _tapes[-1].keep_patches:
@@ -489,19 +503,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(out_data)
 
     def backward_fn(g: np.ndarray):
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * h * w, c_out)
+        gmat = g.transpose(0, 2, 3, 1).reshape(m, c_out)
         buf = None  # a patch buffer the patch gradient may reuse
         if weight.requires_grad:
             buf = patches() if kept is None else kept
-            weight.grad += ((buf @ gmat).T if k_major else gmat.T @ buf).reshape(c_out, c_in, 3, 3)
+            weight.grad += ((buf[:, :m] @ gmat).T if k_major else gmat.T @ buf).reshape(c_out, c_in, 3, 3)
         if bias.requires_grad:
             bias.grad += channel_sum(g)
         if x.requires_grad:
-            # Written over the patch buffer when there is one, whose memory
-            # reads as row-major (N*H*W, C_in*9) whatever its layout, so no
-            # second is made; the scatter below is row-major either way.
-            w2d = weight.data.reshape(c_out, c_in * 9)
-            gcols = np.matmul(gmat, w2d, out=None if buf is None else buf.reshape(n * h * w, c_in * 9))
+            # Written over the patch buffer's memory when there is one, read
+            # as a row-major (m, k) matrix whatever its layout, so no second
+            # is made; the scatter below is row-major either way.
+            rows = None if buf is None else buf.reshape(-1)[: m * k].reshape(m, k)
+            gcols = np.matmul(gmat, weight.data.reshape(c_out, k), out=rows)
             gcols = gcols.reshape(n, h, w, c_in, 3, 3)
             gxp = np.zeros((n, h + 2, w + 2, c_in), dtype=x.dtype)
             for blk in sample_blocks(gcols, _CHUNK_BYTES):

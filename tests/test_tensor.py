@@ -751,7 +751,7 @@ class TestTapeMemory:
         # The patch gradient is written over the K-major patch buffer, read
         # as a row-major matrix. Besides it, the backward allocates only
         # input- and output-sized arrays (gradients, padding), each under a
-        # fifth of a patch matrix here: so under one patch matrix when the
+        # quarter of a patch matrix here: so under one patch matrix when the
         # tape kept it, and under two when the backward rebuilt it.
         n, c_in, c_out, size = 8, 8, 16, 16  # desk conv2 at batch 8
         assert tensor_module._k_major(n, c_in, c_out, size, size)
@@ -764,7 +764,9 @@ class TestTapeMemory:
         with Tape(keep_patches=keep_patches) as tape:
             loss = tsum(conv2d(x, w, b))
             if keep_patches:
-                assert closure_value(tape._records[-2][2], "kept").shape == (c_in * 9, n * size * size)
+                kept = closure_value(tape._records[-2][2], "kept")
+                assert kept.shape == (c_in * 9, n * size * size + tensor_module._K_MAJOR_ROW_PAD)
+                del kept
             tracemalloc.start()
             try:
                 tape.backward(loss)

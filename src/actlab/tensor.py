@@ -374,11 +374,11 @@ def _k_major(n: int, c_in: int, c_out: int, h: int, w: int) -> bool:
     K-major copies write runs of W floats where row-major ones write one
     float every 9, so they pay where the image is at least as wide as the
     input is deep (W >= C_in); on 4x4 and 2x2 grids, and at 64 channels on
-    32x32, they were measured slower. Both layouts give every bit of the other where each
-    GEMM has C_out >= 2 and more than 10^6 multiply-adds: OpenBLAS then
-    packs both operands before its kernel runs, so the kernel sees the same
-    data from either. Below that its small-matrix kernels, and at C_out = 1
-    its GEMV, sum in an order that depends on the layout.
+    32x32, they were measured slower. Both layouts give every bit of the
+    other where each GEMM has C_out >= 2 and more than 10^6 multiply-adds:
+    OpenBLAS then packs both operands before its kernel runs, so the kernel
+    sees the same data from either. Below that its small-matrix kernels,
+    and at C_out = 1 its GEMV, sum in an order that depends on the layout.
     """
     return w >= c_in and c_out >= 2 and n * h * w * c_out * c_in * 9 > _SMALL_GEMM_MACS
 

@@ -34,9 +34,13 @@ Two kernel families exist for conv2d and linear, selected by dtype:
   ``Tape(keep_patches=True)`` the patch matrix is kept for the weight
   gradient; on any other tape the backward rebuilds it from the input,
   with the same bytes.
-* float64 (the verification path): fixed-order accumulation whose
-  summation order matches a naive nested-loop evaluation bit for bit,
-  and whose per-sample results are independent of the rest of the batch.
+* float64 (the verification path): one exact kernel,
+  :func:`_affine_exact`, serves both ops. It adds one input column at a
+  time into the bias, so each element's summation order is that of a
+  naive nested loop, bit for bit, and no row depends on the rest of the
+  batch. conv2d runs it on its row-major patch matrix, whose columns are
+  in the nested loop's (c_in, kh, kw) order, and returns an
+  NCHW-contiguous output.
 
 All other operations are elementwise or per-sample and therefore exact
 and batch-independent in both dtypes.
@@ -348,6 +352,26 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# the exact float64 kernel of linear and conv2d
+# ---------------------------------------------------------------------------
+
+
+def _affine_exact(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The float64 kernel of linear, and of conv2d on its row-major patch
+    # matrix, whose columns are in (c_in, kh, kw) order: x [M, K] @ w.T + b,
+    # w [F, K]. Accumulating one input column at a time, starting from the
+    # bias, makes each element's summation order that of a scalar nested
+    # loop, so the result matches a brute-force oracle bit for bit and no
+    # row depends on the others.
+    n = x.shape[0]
+    f_out = w.shape[0]
+    out = np.broadcast_to(b.reshape(1, f_out), (n, f_out)).astype(x.dtype).copy()
+    for k in range(x.shape[1]):
+        out += x[:, k].reshape(n, 1) * w[:, k].reshape(1, f_out)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # conv2d: 3x3, stride 1, zero padding 1
 # ---------------------------------------------------------------------------
 
@@ -418,8 +442,9 @@ def _im2col_k_major(x: np.ndarray, h: int, w: int) -> np.ndarray:
     into the (C, 3, 3, N, H, W) view of those columns. The padding keeps
     the rows from lying a power of two bytes apart, as N*H*W floats usually
     do: BLAS reads all C*9 rows at once, and at such a stride the reads
-    collide in the cache, which made the GEMMs up to 2 times slower than
-    the row-major ones at a batch of 256.
+    collide in the cache: at batch 128 the forward GEMM of desk conv1 took
+    2.6-3.4 ms unpadded against 1.4-1.9 ms padded, and at batch 32 0.41-0.55
+    against 0.33-0.50 ms (README, "Numeric contracts").
     """
     n, c = x.shape[:2]
     m = n * h * w
@@ -433,28 +458,17 @@ def _im2col_k_major(x: np.ndarray, h: int, w: int) -> np.ndarray:
     return buf
 
 
-def _conv_forward_exact(xp: np.ndarray, w: np.ndarray, b: np.ndarray, h: int, wd: int) -> np.ndarray:
-    # One fused multiply-accumulate per kernel tap, in (c_in, kh, kw) order.
-    # Summation order is therefore identical to a scalar nested loop that
-    # starts from the bias, which makes the result bitwise comparable to a
-    # brute-force oracle and independent of batch composition.
-    n = xp.shape[0]
-    c_out = w.shape[0]
-    out = np.broadcast_to(b.reshape(1, c_out, 1, 1), (n, c_out, h, wd)).astype(xp.dtype).copy()
-    for ci in range(w.shape[1]):
-        for kh in range(3):
-            for kw in range(3):
-                out += w[:, ci, kh, kw].reshape(1, c_out, 1, 1) * xp[:, None, kh : kh + h, kw : kw + wd, ci]
-    return out
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """3x3 cross-correlation with stride 1 and zero padding 1.
 
     Shapes: x [N, C_in, H, W], weight [C_out, C_in, 3, 3], bias [C_out];
     output [N, C_out, H, W]. Backward fills gradients for all three
-    inputs. In float32 the output is channels-last in memory (a transposed
-    view of the C-contiguous (N*H*W, C_out) GEMM result).
+    inputs. The forward builds its patch matrix once in both dtypes. In
+    float64 it multiplies the row-major matrix by
+    ``weight.reshape(C_out, C_in*9)`` with linear's exact kernel,
+    :func:`_affine_exact`, and the output is NCHW-contiguous. In float32 the
+    output is channels-last in memory (a transposed view of the
+    C-contiguous (N*H*W, C_out) GEMM result).
 
     The float32 patch matrix is built in one of two layouts, chosen by
     :func:`_k_major` from the shapes alone: K-major (:func:`_im2col_k_major`)
@@ -490,10 +504,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         return _im2col_k_major(x.data, h, w) if k_major else _im2col(_pad1(x.data), h, w)
 
     kept = None  # the patch buffer, kept for the backward on a keeping tape
+    buf = patches()
     if x.data.dtype == np.float64:
-        out_data = _conv_forward_exact(_pad1(x.data), weight.data, bias.data, h, w)
+        out_data = _affine_exact(buf, weight.data.reshape(c_out, k), bias.data)
+        out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2).copy()  # NCHW strides, even at 1x1
     else:
-        buf = patches()
         # an F-ordered view when K-major; the result is C-contiguous either way
         out_data = (buf[:, :m].T if k_major else buf) @ weight.data.reshape(c_out, k).T
         out_data = out_data.reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
@@ -625,17 +640,6 @@ def maxpool2(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _linear_forward_exact(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Accumulate one input feature at a time, starting from the bias, so the
-    # per-element summation order matches a scalar nested loop exactly.
-    n = x.shape[0]
-    f_out = w.shape[0]
-    out = np.broadcast_to(b.reshape(1, f_out), (n, f_out)).astype(x.dtype).copy()
-    for k in range(x.shape[1]):
-        out += x[:, k].reshape(n, 1) * w[:, k].reshape(1, f_out)
-    return out
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map: x [N, F_in] -> x @ weight.T + bias, weight [F_out, F_in]."""
     _check(x.ndim == 2, f"linear input must be 2-d [N,F_in], got shape {x.shape}")
@@ -650,7 +654,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     same_dtype(x, weight, bias)
 
     if x.data.dtype == np.float64:
-        out_data = _linear_forward_exact(x.data, weight.data, bias.data)
+        out_data = _affine_exact(x.data, weight.data, bias.data)
     else:
         out_data = x.data @ weight.data.T + bias.data
     out = Tensor(out_data)

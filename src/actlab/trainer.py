@@ -177,7 +177,7 @@ class RunRecord:
         }
 
 
-def evaluate(model: PlainNet, ds: Dataset, batch_size: int = 256) -> tuple[float, float]:
+def evaluate(model: PlainNet, ds: Dataset, batch_size: int) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over a split, dropout disabled.
 
     Accuracy counts argmax(logits) == label; numpy's argmax already

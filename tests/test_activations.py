@@ -475,13 +475,28 @@ def test_anchor_meets_tol_and_keeps_std_when_a_root_does(mean, std, beta, n, see
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the dip search misses the std-keeping roots")
-def test_anchor_keeps_std_on_the_known_dip_miss():
-    # The sample mean crosses zero near c = -22.4, -17.8 and 18.3, with
-    # output std 8.48, 8.47 and 0.206 there against a keep threshold of
-    # 2.12. The near-dip test fires, the dip search starts on the flat
-    # left asymptote and never reaches the left crossings, so the solver
-    # returns the squashing root c = 18.29.
-    check_anchor_meets_tol_and_keeps_std(mean=-0.0625, std=9.0, beta=0.875, n=226, seed=1176)
+@pytest.mark.parametrize(
+    "mean, std, beta, n, seed",
+    [
+        # The sample mean crosses zero near c = -22.4, -17.8 and 18.3, with
+        # output std 8.48, 8.47 and 0.206 there against a keep threshold of
+        # 2.12. The near-dip test fires, the dip search starts on the flat
+        # left asymptote and never reaches the left crossings, so the
+        # solver returns the squashing root c = 18.29.
+        (-0.0625, 9.0, 0.875, 226, 1176),
+        # Sample mean +1.1e-4, std 1.94. The mean is negative only between
+        # its crossings near c = -5.54 and -3.73 (output std 1.94 at both,
+        # against a keep threshold of 0.48). The dip search starts on the
+        # flat left asymptote at c = -7.87 and walks right in doubling
+        # steps, from -5.75 (mean +5.7e-5) to -3.33 (+1.1e-2), over the
+        # whole negative window; its last probe, at -6.34, reads +1.0e-4.
+        # So the solver returns the squashing root c = 3.985 (std 0.030).
+        (0.0, 2.0, 4.0, 233, 110343),
+    ],
+    ids=["dip-far-left", "window-stepped-over"],
+)
+def test_anchor_keeps_std_on_the_known_dip_miss(mean, std, beta, n, seed):
+    check_anchor_meets_tol_and_keeps_std(mean, std, beta, n, seed)
 
 
 def check_anchor_meets_tol_and_keeps_std(mean, std, beta, n, seed):

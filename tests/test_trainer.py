@@ -127,7 +127,7 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         model = build(ExperimentConfig(depth=8, width_divisor=8), np.random.default_rng(1))
         ds = pixel_dataset(random_pixels(rng, 400), rng.integers(0, 100, 400).astype(np.int64))
-        loss, acc = evaluate(model, ds)
+        loss, acc = evaluate(model, ds, batch_size=32)
         assert abs(acc - 0.01) < 0.03
         assert abs(loss - np.log(100.0)) < 0.2
 
@@ -139,7 +139,7 @@ class TestEvaluate:
             p.data[:] = 0.0
         fc2 = [l for l in model.layers if l.name == "fc2"][0]
         fc2.bias.data[:] = [1e4, 0.0, 0.0, 0.0]
-        _, acc = evaluate(model, pixel_dataset(ds.pixels, np.zeros(len(ds), dtype=np.int64)))
+        _, acc = evaluate(model, pixel_dataset(ds.pixels, np.zeros(len(ds), dtype=np.int64)), batch_size=32)
         assert acc == 1.0
 
     def test_hand_built_fixture_accuracy_two_thirds(self):
@@ -150,7 +150,7 @@ class TestEvaluate:
         fc2.bias.data[:] = [1.0, 0.0, 0.0]  # argmax always class 0
         rng = np.random.default_rng(5)
         ds = pixel_dataset(random_pixels(rng, 3), np.array([0, 0, 2], dtype=np.int64))
-        _, acc = evaluate(model, ds)
+        _, acc = evaluate(model, ds, batch_size=32)
         assert acc == pytest.approx(2.0 / 3.0)
 
     def test_argmax_tie_breaks_to_lowest_class(self):
@@ -158,7 +158,7 @@ class TestEvaluate:
         for p in model.parameters():
             p.data[:] = 0.0  # all logits identical
         ds = tiny_dataset(classes=3)
-        _, acc = evaluate(model, pixel_dataset(ds.pixels[:9], np.zeros(9, dtype=np.int64)))
+        _, acc = evaluate(model, pixel_dataset(ds.pixels[:9], np.zeros(9, dtype=np.int64)), batch_size=32)
         assert acc == 1.0
 
 
